@@ -19,7 +19,7 @@ import (
 // rate the overload control imposed. Like the cluster scenario it doubles
 // as a correctness gate — any linearizability violation fails the run.
 func runChaos(threadsPer int, seed int64, verbose bool) error {
-	cfg := soak.PartitionConfig{Threads: threadsPer, Seed: seed}
+	cfg := soak.PartitionConfig{Load: soak.Load{Threads: threadsPer, Seed: seed}}
 	if verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "chaos: "+format+"\n", args...)

@@ -522,7 +522,8 @@ func runCluster(servers []int, threadsPer int, d time.Duration, seed int64, verb
 	var metrics []BenchMetric
 	for _, n := range servers {
 		cfg := soak.Config{
-			Servers: n, Threads: threadsPer, Duration: d, Seed: seed,
+			Load:    soak.Load{Threads: threadsPer, Seed: seed},
+			Servers: n, Duration: d,
 			// Kill/restart cycles measure recovery, not scaling; keep the
 			// bench load steady. The rest of the fault schedule (forced
 			// concurrent pairs, cancels, overlap attempts) stays on so the

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure from the paper's evaluation (§4). Each experiment builds a scaled
-// cluster (DESIGN.md §2 documents the scaling), drives the paper's workload
-// against it, and returns the same rows/series the paper reports.
+// cluster (EXPERIMENTS.md's introduction documents the scaling), drives the
+// paper's workload against it, and returns the rows/series the paper reports.
 //
 // cmd/shadowfax-bench wraps these functions as sub-commands; bench_test.go
 // wraps them as testing.B benchmarks.

@@ -30,12 +30,27 @@ func NewAdmin(tr transport.Transport, meta metadata.Provider) *Admin {
 	return &Admin{tr: tr, meta: meta}
 }
 
-func (a *Admin) dial(serverID string) (transport.Conn, error) {
+// roundTrip is one control-plane RPC: dial addr, send req, wait for the
+// frame of type want, hang up.
+func (a *Admin) roundTrip(ctx context.Context, addr string, req []byte, want wire.MsgType) ([]byte, error) {
+	conn, err := a.tr.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if err := conn.Send(req); err != nil {
+		return nil, err
+	}
+	return awaitFrame(ctx, conn, want)
+}
+
+// rpc is roundTrip against a registered server ID.
+func (a *Admin) rpc(ctx context.Context, serverID string, req []byte, want wire.MsgType) ([]byte, error) {
 	addr, err := a.meta.ServerAddr(serverID)
 	if err != nil {
 		return nil, err
 	}
-	return a.tr.Dial(addr)
+	return a.roundTrip(ctx, addr, req, want)
 }
 
 // awaitFrame polls conn until a frame of type want arrives (unrelated frames
@@ -62,15 +77,7 @@ func awaitFrame(ctx context.Context, conn transport.Conn, want wire.MsgType) ([]
 // Checkpoint asks serverID to take a durable checkpoint now and waits for
 // the server's acknowledgment.
 func (a *Admin) Checkpoint(ctx context.Context, serverID string) (wire.CheckpointResp, error) {
-	conn, err := a.dial(serverID)
-	if err != nil {
-		return wire.CheckpointResp{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeCheckpointReq()); err != nil {
-		return wire.CheckpointResp{}, err
-	}
-	frame, err := awaitFrame(ctx, conn, wire.MsgCheckpointResp)
+	frame, err := a.rpc(ctx, serverID, wire.EncodeCheckpointReq(), wire.MsgCheckpointResp)
 	if err != nil {
 		return wire.CheckpointResp{}, err
 	}
@@ -87,15 +94,7 @@ func (a *Admin) Checkpoint(ctx context.Context, serverID string) (wire.Checkpoin
 // Compact asks serverID to run one log-compaction pass now (§3.3.3) and
 // waits for the pass's statistics.
 func (a *Admin) Compact(ctx context.Context, serverID string) (wire.CompactResp, error) {
-	conn, err := a.dial(serverID)
-	if err != nil {
-		return wire.CompactResp{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeCompactReq()); err != nil {
-		return wire.CompactResp{}, err
-	}
-	frame, err := awaitFrame(ctx, conn, wire.MsgCompactResp)
+	frame, err := a.rpc(ctx, serverID, wire.EncodeCompactReq(), wire.MsgCompactResp)
 	if err != nil {
 		return wire.CompactResp{}, err
 	}
@@ -113,16 +112,8 @@ func (a *Admin) Compact(ctx context.Context, serverID string) (wire.CompactResp,
 // [rng.Start, rng.End) to target. It returns once the source acknowledges
 // that the migration has begun.
 func (a *Admin) Migrate(ctx context.Context, source, target string, rng metadata.HashRange) error {
-	conn, err := a.dial(source)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeMigrate(wire.MigrateCmd{
-		Target: target, RangeStart: rng.Start, RangeEnd: rng.End})); err != nil {
-		return err
-	}
-	_, err = awaitFrame(ctx, conn, wire.MsgAck)
+	_, err := a.rpc(ctx, source, wire.EncodeMigrate(wire.MigrateCmd{
+		Target: target, RangeStart: rng.Start, RangeEnd: rng.End}), wire.MsgAck)
 	return err
 }
 
@@ -132,15 +123,7 @@ func (a *Admin) Migrate(ctx context.Context, source, target string, rng metadata
 // attached; a drain interrupted by a failure may be retried (it re-plans
 // from the current view and retiring twice is a no-op).
 func (a *Admin) Drain(ctx context.Context, serverID string) (wire.DrainResp, error) {
-	conn, err := a.dial(serverID)
-	if err != nil {
-		return wire.DrainResp{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeDrainReq()); err != nil {
-		return wire.DrainResp{}, err
-	}
-	frame, err := awaitFrame(ctx, conn, wire.MsgDrainResp)
+	frame, err := a.rpc(ctx, serverID, wire.EncodeDrainReq(), wire.MsgDrainResp)
 	if err != nil {
 		return wire.DrainResp{}, err
 	}
@@ -157,15 +140,7 @@ func (a *Admin) Drain(ctx context.Context, serverID string) (wire.DrainResp, err
 // Rebalance asks serverID's hosted balancer to run one planning pass now
 // and returns its decision. A server without a balancer refuses.
 func (a *Admin) Rebalance(ctx context.Context, serverID string) (wire.RebalanceResp, error) {
-	conn, err := a.dial(serverID)
-	if err != nil {
-		return wire.RebalanceResp{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeRebalanceReq()); err != nil {
-		return wire.RebalanceResp{}, err
-	}
-	frame, err := awaitFrame(ctx, conn, wire.MsgRebalanceResp)
+	frame, err := a.rpc(ctx, serverID, wire.EncodeRebalanceReq(), wire.MsgRebalanceResp)
 	if err != nil {
 		return wire.RebalanceResp{}, err
 	}
@@ -182,15 +157,7 @@ func (a *Admin) Rebalance(ctx context.Context, serverID string) (wire.RebalanceR
 // BalanceStatus fetches serverID's balancer status (counters, cooldown,
 // last decision, observed per-server load rates).
 func (a *Admin) BalanceStatus(ctx context.Context, serverID string) (wire.BalanceStatusResp, error) {
-	conn, err := a.dial(serverID)
-	if err != nil {
-		return wire.BalanceStatusResp{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeBalanceStatusReq()); err != nil {
-		return wire.BalanceStatusResp{}, err
-	}
-	frame, err := awaitFrame(ctx, conn, wire.MsgBalanceStatusResp)
+	frame, err := a.rpc(ctx, serverID, wire.EncodeBalanceStatusReq(), wire.MsgBalanceStatusResp)
 	if err != nil {
 		return wire.BalanceStatusResp{}, err
 	}
@@ -212,15 +179,7 @@ func (a *Admin) Stats(ctx context.Context, serverID string) (wire.StatsResp, err
 // response carries the server's ID and ownership view, which is everything
 // needed to register it in a fresh metadata store.
 func (a *Admin) StatsAddr(ctx context.Context, addr string) (wire.StatsResp, error) {
-	conn, err := a.tr.Dial(addr)
-	if err != nil {
-		return wire.StatsResp{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.EncodeStatsReq()); err != nil {
-		return wire.StatsResp{}, err
-	}
-	frame, err := awaitFrame(ctx, conn, wire.MsgStatsResp)
+	frame, err := a.roundTrip(ctx, addr, wire.EncodeStatsReq(), wire.MsgStatsResp)
 	if err != nil {
 		return wire.StatsResp{}, err
 	}

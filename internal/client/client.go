@@ -8,7 +8,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -469,23 +468,6 @@ func (t *Thread) Drain(timeout time.Duration) bool {
 		}
 	}
 	return true
-}
-
-// DrainContext is Drain with context semantics: it flushes and polls until
-// no operations are outstanding, the context's deadline expires, or the
-// context is cancelled. Cancellation is observed every iteration, whether or
-// not the poll made progress.
-func (t *Thread) DrainContext(ctx context.Context) error {
-	for t.outstanding > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t.Flush()
-		if t.Poll() == 0 {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	return nil
 }
 
 // Close tears down all sessions. Every operation still outstanding —

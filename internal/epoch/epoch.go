@@ -56,10 +56,6 @@ type drainEntry struct {
 type Manager struct {
 	current atomic.Uint64 // global epoch, starts at 1
 
-	// safeToReclaim caches the most recently computed minimal epoch across
-	// threads, so hot paths can do a single load.
-	safeToReclaim atomic.Uint64
-
 	drainCount atomic.Int64
 	drainList  [drainListSize]drainEntry
 
@@ -72,7 +68,6 @@ type Manager struct {
 func NewManager() *Manager {
 	m := &Manager{freeTID: make(chan int, MaxThreads)}
 	m.current.Store(1)
-	m.safeToReclaim.Store(0)
 	return m
 }
 
@@ -152,8 +147,8 @@ func (g *Guard) LocalEpoch() uint64 { return g.m.threads[g.tid].v.Load() }
 func (m *Manager) Current() uint64 { return m.current.Load() }
 
 // Bump advances the global epoch and returns the previous value. Memory
-// retired at the returned epoch is safe to reuse once SafeToReclaim reaches
-// it.
+// retired at the returned epoch is safe to reuse once ComputeSafeEpoch
+// returns a value greater than it.
 func (m *Manager) Bump() uint64 {
 	return m.current.Add(1) - 1
 }
@@ -203,13 +198,8 @@ func (m *Manager) ComputeSafeEpoch() uint64 {
 			oldest = e
 		}
 	}
-	m.safeToReclaim.Store(oldest)
 	return oldest
 }
-
-// SafeToReclaim returns the cached safe epoch: memory retired at an epoch
-// strictly less than this value may be reused.
-func (m *Manager) SafeToReclaim() uint64 { return m.safeToReclaim.Load() }
 
 // tryDrain runs every pending action whose epoch boundary every thread has
 // crossed.
@@ -240,7 +230,3 @@ func (m *Manager) tryDrain(cur uint64) {
 func (m *Manager) DrainPending() {
 	m.tryDrain(m.current.Load())
 }
-
-// PendingActions returns the number of registered-but-unfired trigger
-// actions.
-func (m *Manager) PendingActions() int { return int(m.drainCount.Load()) }

@@ -32,8 +32,3 @@ const MinAddress Address = 64
 
 // Page returns the page number containing a for the given page-size bits.
 func (a Address) Page(pageBits uint) uint64 { return uint64(a) >> pageBits }
-
-// Offset returns a's byte offset within its page.
-func (a Address) Offset(pageBits uint) uint64 {
-	return uint64(a) & ((1 << pageBits) - 1)
-}

@@ -34,18 +34,6 @@ type Config struct {
 	Epoch *epoch.Manager
 }
 
-// DefaultConfig returns a small configuration suitable for tests and
-// examples: 64 KiB pages, 64 frames (4 MiB of memory), half mutable.
-func DefaultConfig(dev storage.Device, em *epoch.Manager) Config {
-	return Config{
-		PageBits:     16,
-		MemPages:     64,
-		MutablePages: 32,
-		Device:       dev,
-		Epoch:        em,
-	}
-}
-
 func (c *Config) validate() error {
 	if c.PageBits < 10 || c.PageBits > 30 {
 		return fmt.Errorf("hlog: PageBits %d out of range [10,30]", c.PageBits)
@@ -109,9 +97,6 @@ type Log struct {
 	flushQuit   chan struct{}
 	flushDone   sync.WaitGroup
 	closed      atomic.Bool
-
-	// onFlushed, if set, runs after flushedUntil advances (checkpoint hook).
-	onFlushed atomic.Value // func(Address)
 
 	stats LogStats
 }
@@ -180,9 +165,6 @@ func (l *Log) TailAddress() Address { return Address(l.tail.Load()) }
 // ReadOnlyAddress returns the mutable-region boundary: records at addresses
 // >= this may be updated in place.
 func (l *Log) ReadOnlyAddress() Address { return Address(l.readOnly.Load()) }
-
-// SafeReadOnlyAddress returns the flush boundary every thread has observed.
-func (l *Log) SafeReadOnlyAddress() Address { return Address(l.safeReadOnly.Load()) }
 
 // HeadAddress returns the in-memory boundary: records at addresses >= this
 // are guaranteed resident in a page frame.
@@ -438,15 +420,9 @@ func (l *Log) flusher() {
 			l.stats.PagesFlushed.Add(1)
 			l.flushedUntil.Store((page + 1) << l.cfg.PageBits)
 			l.advanceSafeHead()
-			if cb, ok := l.onFlushed.Load().(func(Address)); ok && cb != nil {
-				cb(Address((page + 1) << l.cfg.PageBits))
-			}
 		}
 	}
 }
-
-// SetFlushCallback installs fn to run after flushedUntil advances.
-func (l *Log) SetFlushCallback(fn func(Address)) { l.onFlushed.Store(fn) }
 
 // bytesAt returns the in-frame bytes for [addr, addr+n). The caller must
 // hold epoch protection and addr must be >= SafeHeadAddress.
@@ -468,11 +444,6 @@ func (l *Log) RecordAt(addr Address) Record {
 // InMemory reports whether addr is at or above the head (resident).
 func (l *Log) InMemory(addr Address) bool {
 	return uint64(addr) >= l.head.Load()
-}
-
-// Mutable reports whether addr is in the in-place-update region.
-func (l *Log) Mutable(addr Address) bool {
-	return uint64(addr) >= l.readOnly.Load()
 }
 
 // ReadRecordFromDevice synchronously reads the record at addr from the local

@@ -9,7 +9,7 @@
 // dependency registration in one step), and client-visible reads. A single
 // in-process store guarded by a mutex provides all three with identical
 // semantics; ZooKeeper's replication is orthogonal to every experiment
-// (DESIGN.md §2 documents the substitution).
+// (README.md § "Elasticity: shared metadata" describes the stand-in).
 package metadata
 
 import (

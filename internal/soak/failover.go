@@ -1,18 +1,11 @@
 package soak
 
 import (
-	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/faster"
 	"repro/internal/metadata"
 	"repro/shadowfax"
 )
@@ -58,372 +51,131 @@ func (f FailoverFault) String() string {
 }
 
 // FailoverConfig sizes one failover soak. Zero fields take the documented
-// defaults.
+// defaults (Load: 3 clients, 512 keys, 64 ops per batch).
 type FailoverConfig struct {
-	// Threads is the servers' dispatcher count (default 1).
-	Threads int
-	// Clients is the number of independent client workers (default 3).
-	Clients int
-	// Keys is the keyspace size (default 512).
-	Keys int
-	// BatchOps is each worker's async ops per flush round (default 64).
-	BatchOps int
+	Load
 	// Duration bounds the loaded phase (default 3s); the fault lands near
 	// its midpoint, jittered by the seed.
 	Duration time.Duration
-	// Seed fixes the workers' RNGs and the fault-time jitter.
-	Seed int64
 	// Fault selects the schedule (default KillPrimary).
 	Fault FailoverFault
-	// ArtifactDir, when set, receives violations.txt and key_history.csv
-	// after a run that recorded violations (CI failure artifacts).
-	ArtifactDir string
-	// Logf, when set, receives progress lines.
-	Logf func(format string, args ...any)
 }
 
 // FailoverResult is one failover soak's outcome.
 type FailoverResult struct {
-	Fault    FailoverFault
-	Duration time.Duration
-
-	// Ops counts acked client operations; AggregateMops is Ops over the
-	// loaded-phase wall clock.
-	Ops           uint64
-	AggregateMops float64
+	Outcome
+	Fault FailoverFault
 
 	// PromotedIn is the delay from the primary's death to the standby
 	// serving as primary (kill-primary schedules; 0 for kill-backup).
 	PromotedIn time.Duration
-
-	// Violations lists every correctness breach observed (capped); empty
-	// means every acked write survived and every read was linearizable.
-	Violations []string
 }
 
-func (c *FailoverConfig) withDefaults() {
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if c.Clients <= 0 {
-		c.Clients = 3
-	}
-	if c.Keys <= 0 {
-		c.Keys = 512
-	}
-	if c.BatchOps <= 0 {
-		c.BatchOps = 64
-	}
-	if c.Duration <= 0 {
-		c.Duration = 3 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-}
-
-type fharness struct {
-	cfg     FailoverConfig
-	cluster *shadowfax.Cluster
-	primary *shadowfax.Server
-	standby *shadowfax.Server
-	logDev  *shadowfax.MemDevice
-	ckptDev *shadowfax.MemDevice
-	clients []*shadowfax.Client
-
-	keys   [][]byte
-	states []keyState
-
-	stop     atomic.Bool
-	start    time.Time
-	opsAcked atomic.Uint64
-
-	// recMu serializes session recovery: the first worker to hit a broken
-	// session repairs it for everyone; the rest retry as instant no-ops.
-	recMu sync.Mutex
-
-	violMu sync.Mutex
-	viol   []string
-
-	finals []uint64 // final-sweep values, for the artifact dump
-}
-
+// The replicated pair both replication soaks boot. The timing is tight
+// enough that a fault resolves in hundreds of milliseconds, loose enough to
+// be robust under -race on slow CI machines.
 const (
-	foPrimaryID = "p0"
-	foStandbyID = "p0-standby"
+	primaryID = "p0"
+	standbyID = "p0-standby"
+
+	replHeartbeat = 10 * time.Millisecond
+	replFailover  = 120 * time.Millisecond
 )
+
+// replicaOf is the standby-side replication option for primaryID's backup.
+func replicaOf(ackTimeout time.Duration) shadowfax.ServerOption {
+	return shadowfax.WithReplication(shadowfax.ReplicationConfig{
+		ReplicaOf:      primaryID,
+		HeartbeatEvery: replHeartbeat,
+		FailoverAfter:  replFailover,
+		AckTimeout:     ackTimeout,
+	})
+}
+
+// waitSynced waits for the state-of-record store behind c to show the
+// primary's replica attached and base-synced.
+func waitSynced(c *shadowfax.Cluster, timeout time.Duration) bool {
+	return poll(timeout, 2*time.Millisecond, func() bool {
+		r, ok := c.Replicas()[primaryID]
+		return ok && r.Synced
+	})
+}
+
+// awaitPromotion waits for the standby to promote itself after its primary
+// died at killed; it returns the failover latency, or false (violation
+// recorded) if the standby never took over.
+func (h *harness) awaitPromotion(standby *node, killed time.Time) (time.Duration, bool) {
+	if !poll(30*time.Second, time.Millisecond, func() bool { return !standby.server().IsStandby() }) {
+		h.violate("standby never promoted itself after the primary died")
+		return 0, false
+	}
+	promotedIn := time.Since(killed)
+	h.cfg.Logf("soak: standby promoted %v after the kill", promotedIn.Round(time.Millisecond))
+	return promotedIn, true
+}
+
+type failoverSoak struct {
+	*harness
+	cfg              FailoverConfig
+	cluster          *shadowfax.Cluster
+	primary, standby *node
+}
 
 // RunFailover executes one failover soak: boot the replicated pair, preload,
 // load, inject the fault without pausing the load, keep loading, drain,
 // final sweep. Harness failures (a cluster that cannot boot) come back as
 // the error; correctness breaches land in Result.Violations.
 func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
-	cfg.withDefaults()
-	h := &fharness{cfg: cfg}
-	h.cluster = shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
-	defer h.cluster.Close()
-	defer h.closeAll()
+	cfg.Load.withDefaults(3, 512, 64)
+	if cfg.Duration <= 0 {
+		cfg.Duration = 3 * time.Second
+	}
+	s := &failoverSoak{harness: newHarness(cfg.Load, 5*time.Second), cfg: cfg}
+	defer s.close()
 
-	if err := h.boot(); err != nil {
+	if err := s.boot(); err != nil {
 		return FailoverResult{}, err
 	}
-	if err := h.preload(); err != nil {
+	if err := s.preload(s.clients[0]); err != nil {
 		return FailoverResult{}, err
 	}
-
-	h.start = time.Now()
-	var wg sync.WaitGroup
-	for i, cl := range h.clients {
-		wg.Add(1)
-		go func(idx int, cl *shadowfax.Client) {
-			defer wg.Done()
-			h.worker(idx, cl)
-		}(i, cl)
+	// A kill-mid-promotion restart attempt needs an image to recover from.
+	if _, err := s.primary.server().Checkpoint(); err != nil {
+		return FailoverResult{}, fmt.Errorf("soak: preload checkpoint: %w", err)
 	}
 
 	res := FailoverResult{Fault: cfg.Fault}
-
-	// The fault lands near the midpoint, jittered by the seed so different
-	// seeds catch the kill at different batch phases.
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0xfa11))
-	killAt := cfg.Duration/2 + time.Duration(rng.Int63n(int64(cfg.Duration/8+1)))
-	time.Sleep(time.Until(h.start.Add(killAt)))
-
-	var faultErr error
-	switch cfg.Fault {
-	case KillPrimary:
-		res.PromotedIn, faultErr = h.killPrimary(false)
-	case KillMidPromotion:
-		res.PromotedIn, faultErr = h.killPrimary(true)
-	case KillBackup:
-		faultErr = h.killBackup()
-	}
-	if faultErr != nil {
-		h.stop.Store(true)
-		wg.Wait()
-		return FailoverResult{}, faultErr
-	}
-
-	if rest := time.Until(h.start.Add(cfg.Duration)); rest > 0 {
-		time.Sleep(rest)
-	}
-	h.stop.Store(true)
-	wg.Wait()
-	loaded := time.Since(h.start)
-
-	h.finalSweep()
-
-	res.Duration = loaded
-	res.Ops = h.opsAcked.Load()
-	if secs := loaded.Seconds(); secs > 0 {
-		res.AggregateMops = float64(res.Ops) / secs / 1e6
-	}
-	h.violMu.Lock()
-	res.Violations = append(res.Violations, h.viol...)
-	h.violMu.Unlock()
-	h.dumpArtifacts(res)
+	s.drive(func() {
+		// The fault lands near the midpoint, jittered by the seed so
+		// different seeds catch the kill at different batch phases.
+		rng := rand.New(rand.NewSource(cfg.Seed ^ 0xfa11))
+		killAt := cfg.Duration/2 + time.Duration(rng.Int63n(int64(cfg.Duration/8+1)))
+		time.Sleep(time.Until(s.start.Add(killAt)))
+		if cfg.Fault == KillBackup {
+			s.killBackup()
+		} else {
+			res.PromotedIn = s.killPrimary(cfg.Fault == KillMidPromotion)
+		}
+		time.Sleep(time.Until(s.start.Add(cfg.Duration)))
+	})
+	res.Outcome = s.finish(fmt.Sprintf("fault=%s promoted_in=%v", res.Fault, res.PromotedIn))
 	return res, nil
 }
 
-func (h *fharness) boot() error {
-	h.logDev = shadowfax.NewMemDevice(shadowfax.LatencyModel{}, 2)
-	h.ckptDev = shadowfax.NewMemDevice(shadowfax.LatencyModel{}, 2)
-	primary, err := shadowfax.NewServer(h.cluster, foPrimaryID,
-		shadowfax.WithThreads(h.cfg.Threads),
-		shadowfax.WithSampleDuration(sampleDuration),
-		shadowfax.WithLogDevice(h.logDev),
-		shadowfax.WithCheckpointDevice(h.ckptDev))
-	if err != nil {
-		return fmt.Errorf("soak: booting primary: %w", err)
+func (s *failoverSoak) boot() error {
+	s.cluster = s.addCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	s.primary = s.addNode(s.cluster, primaryID, true)
+	if err := s.primary.start(); err != nil {
+		return err
 	}
-	h.primary = primary
-	standby, err := shadowfax.NewServer(h.cluster, foStandbyID,
-		shadowfax.WithThreads(h.cfg.Threads),
-		shadowfax.WithSampleDuration(sampleDuration),
-		shadowfax.WithReplication(shadowfax.ReplicationConfig{
-			ReplicaOf:      foPrimaryID,
-			HeartbeatEvery: 10 * time.Millisecond,
-			FailoverAfter:  120 * time.Millisecond,
-			AckTimeout:     500 * time.Millisecond,
-		}))
-	if err != nil {
-		return fmt.Errorf("soak: booting standby: %w", err)
+	s.standby = s.addNode(s.cluster, standbyID, false, replicaOf(500*time.Millisecond))
+	if err := s.standby.start(); err != nil {
+		return err
 	}
-	h.standby = standby
-
-	deadline := time.Now().Add(time.Minute)
-	for {
-		if r, ok := h.cluster.Replicas()[foPrimaryID]; ok && r.Synced {
-			break
-		}
-		if time.Now().After(deadline) {
-			return errors.New("soak: standby never finished its base sync")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !waitSynced(s.cluster, time.Minute) {
+		return errors.New("soak: standby never finished its base sync")
 	}
-
-	for i := 0; i < h.cfg.Clients; i++ {
-		cl, err := shadowfax.Dial(h.cluster, shadowfax.WithClientThreads(1))
-		if err != nil {
-			return fmt.Errorf("soak: dialing client %d: %w", i, err)
-		}
-		h.clients = append(h.clients, cl)
-	}
-
-	h.keys = make([][]byte, h.cfg.Keys)
-	h.states = make([]keyState, h.cfg.Keys)
-	for i := range h.keys {
-		h.keys[i] = []byte(fmt.Sprintf("fail-%06d", i))
-	}
-	return nil
-}
-
-func (h *fharness) closeAll() {
-	for _, cl := range h.clients {
-		cl.Close()
-	}
-	h.clients = nil
-	if h.standby != nil {
-		h.standby.Close()
-	}
-	if h.primary != nil {
-		h.primary.Close()
-	}
-	if h.logDev != nil {
-		h.logDev.Close()
-	}
-	if h.ckptDev != nil {
-		h.ckptDev.Close()
-	}
-}
-
-// preload materializes every key as a zero counter, then checkpoints the
-// primary so a kill-mid-promotion restart attempt has an image to recover
-// from.
-func (h *fharness) preload() error {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cl := h.clients[0]
-	zero := make([]byte, 8)
-	for i := range h.keys {
-		if err := cl.Set(ctx, h.keys[i], zero); err != nil {
-			return fmt.Errorf("soak: preloading key %d: %w", i, err)
-		}
-	}
-	if err := cl.Drain(ctx); err != nil {
-		return fmt.Errorf("soak: preload drain: %w", err)
-	}
-	if _, err := h.primary.Checkpoint(); err != nil {
-		return fmt.Errorf("soak: preload checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (h *fharness) violate(format string, args ...any) {
-	h.violMu.Lock()
-	defer h.violMu.Unlock()
-	if len(h.viol) < 32 {
-		h.viol = append(h.viol, fmt.Sprintf(format, args...))
-	}
-}
-
-// worker drives one client with zipf-skewed batches of RMW increments and
-// checked reads. Unlike the cluster soak there is no gate: the fault lands
-// under live traffic, so a batch may die with its session — those ops stay
-// indeterminate (unacked; the [acked, issued] bounds cover both outcomes)
-// and the worker repairs its sessions before the next batch.
-func (h *fharness) worker(idx int, cl *shadowfax.Client) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(idx)*7919))
-	zipf := rand.NewZipf(rng, 1.2, 8, uint64(h.cfg.Keys-1))
-	delta := make([]byte, 8)
-	binary.LittleEndian.PutUint64(delta, 1)
-
-	type pendingOp struct {
-		f    *shadowfax.Future
-		key  int
-		read bool
-		lb   uint64
-	}
-	pend := make([]pendingOp, 0, h.cfg.BatchOps)
-
-	for !h.stop.Load() {
-		pend = pend[:0]
-		for j := 0; j < h.cfg.BatchOps; j++ {
-			k := int(zipf.Uint64() % uint64(h.cfg.Keys))
-			ks := &h.states[k]
-			if rng.Intn(4) == 0 {
-				lb := ks.acked.Load()
-				if o := ks.observed.Load(); o > lb {
-					lb = o
-				}
-				pend = append(pend, pendingOp{f: cl.GetAsync(h.keys[k]), key: k, read: true, lb: lb})
-			} else {
-				ks.issued.Add(1)
-				pend = append(pend, pendingOp{f: cl.RMWAsync(h.keys[k], delta), key: k})
-			}
-		}
-		cl.Flush()
-		wctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		needRecover := false
-		for _, p := range pend {
-			v, err := p.f.Wait(wctx)
-			ks := &h.states[p.key]
-			switch {
-			case err == nil && p.read:
-				if len(v) != 8 {
-					h.violate("key %d: read returned %d bytes, want 8", p.key, len(v))
-				} else {
-					got := binary.LittleEndian.Uint64(v)
-					hi := ks.issued.Load()
-					if got < p.lb || got > hi {
-						h.violate("key %d (hash %#x): read %d outside linearizable bounds [%d, %d]",
-							p.key, faster.HashOf(h.keys[p.key]), got, p.lb, hi)
-					}
-					casMax(&ks.observed, got)
-				}
-				h.opsAcked.Add(1)
-			case err == nil:
-				ks.acked.Add(1)
-				h.opsAcked.Add(1)
-			case p.read && errors.Is(err, shadowfax.ErrNotFound):
-				h.violate("key %d (hash %#x): vanished (NotFound after preload)",
-					p.key, faster.HashOf(h.keys[p.key]))
-			default:
-				// A batch the kill broke: its RMWs are indeterminate and stay
-				// unacked (the final sweep's issued bound covers a replay that
-				// did land). Repair the sessions before the next batch.
-				needRecover = true
-			}
-			p.f.Release()
-		}
-		cancel()
-		if needRecover && !h.stop.Load() {
-			h.recoverClient(cl)
-		}
-	}
-}
-
-// recoverClient repairs a client's sessions after the fault, retrying while
-// the promotion (or detach) is still in flight. Serialized so concurrent
-// workers don't stack redundant handshakes. Returns false once recovery is
-// wedged (a violation has been recorded) so callers can stop retrying.
-func (h *fharness) recoverClient(cl *shadowfax.Client) bool {
-	h.recMu.Lock()
-	defer h.recMu.Unlock()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := cl.RecoverSessions(ctx)
-		cancel()
-		if err == nil {
-			return true
-		}
-		if time.Now().After(deadline) {
-			h.violate("client session recovery wedged: %v", err)
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return s.dial(s.cluster)
 }
 
 // killPrimary kills the primary abruptly under live load and waits for the
@@ -431,164 +183,50 @@ func (h *fharness) recoverClient(cl *shadowfax.Client) bool {
 // primary from its checkpoint concurrently with the promotion — the
 // metadata store must refuse the restart (ErrDeposed): its synced standby
 // is the designated successor whether or not the promotion landed yet.
-func (h *fharness) killPrimary(raceRestart bool) (time.Duration, error) {
-	h.cfg.Logf("soak: killing primary (%s)", h.cfg.Fault)
+func (s *failoverSoak) killPrimary(raceRestart bool) time.Duration {
+	s.cfg.Logf("soak: killing primary (%s)", s.cfg.Fault)
 	killed := time.Now()
-	h.primary.Close()
+	s.primary.kill()
 
 	restartDone := make(chan error, 1)
 	if raceRestart {
 		go func() {
-			srv, err := shadowfax.NewServer(h.cluster, foPrimaryID,
-				shadowfax.WithThreads(h.cfg.Threads),
-				shadowfax.WithSampleDuration(sampleDuration),
-				shadowfax.WithLogDevice(h.logDev),
-				shadowfax.WithCheckpointDevice(h.ckptDev),
-				shadowfax.WithRecovery())
-			if err == nil {
-				srv.Close()
-				restartDone <- errors.New("deposed primary restart was accepted")
-				return
+			err := s.primary.start(shadowfax.WithRecovery())
+			switch {
+			case err == nil:
+				s.primary.kill()
+				err = errors.New("deposed primary restart was accepted")
+			case errors.Is(err, metadata.ErrDeposed):
+				err = nil
+			default:
+				err = fmt.Errorf("deposed primary restart failed with %v, want ErrDeposed", err)
 			}
-			if !errors.Is(err, metadata.ErrDeposed) {
-				restartDone <- fmt.Errorf("deposed primary restart failed with %v, want ErrDeposed", err)
-				return
-			}
-			restartDone <- nil
+			restartDone <- err
 		}()
 	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for h.standby.IsStandby() {
-		if time.Now().After(deadline) {
-			h.violate("standby never promoted itself after the primary died")
-			return 0, nil
-		}
-		time.Sleep(time.Millisecond)
+	promotedIn, ok := s.awaitPromotion(s.standby, killed)
+	if !ok {
+		return 0
 	}
-	promotedIn := time.Since(killed)
-	h.cfg.Logf("soak: standby promoted %v after the kill", promotedIn.Round(time.Millisecond))
-
 	if raceRestart {
 		if err := <-restartDone; err != nil {
-			h.violate("%v", err)
+			s.violate("%v", err)
 		}
 	}
-	if _, ok := h.cluster.Replicas()[foPrimaryID]; ok {
-		h.violate("replica registration survived the promotion")
+	if _, ok := s.cluster.Replicas()[primaryID]; ok {
+		s.violate("replica registration survived the promotion")
 	}
-	return promotedIn, nil
+	return promotedIn
 }
 
 // killBackup kills the standby abruptly under live load; the primary must
 // detach it (stop gating responses on its acks) and keep serving.
-func (h *fharness) killBackup() error {
-	h.cfg.Logf("soak: killing backup")
-	h.standby.Close()
-	deadline := time.Now().Add(30 * time.Second)
-	for h.primary.Replicating() {
-		if time.Now().After(deadline) {
-			h.violate("primary never detached its dead backup")
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.cfg.Logf("soak: primary detached the dead backup")
-	return nil
-}
-
-// finalSweep reads every key once more: each counter must hold at least
-// every acked increment (zero acked-write loss across the fault) and at
-// most every issued one (no replay applied twice).
-func (h *fharness) finalSweep() {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cl := h.clients[0]
-	// The last batch may have died with the fault and been left parked on a
-	// broken session (workers skip recovery once stopped); repair before
-	// draining so the parked ops replay instead of wedging the drain. A
-	// wedged recovery aborts the sweep outright — retrying it per key would
-	// turn one violation into hours of bounded-timeout retries.
-	if !h.recoverClient(cl) {
-		h.violate("final sweep aborted: client sessions unrecoverable")
+func (s *failoverSoak) killBackup() {
+	s.cfg.Logf("soak: killing backup")
+	s.standby.kill()
+	if !poll(30*time.Second, time.Millisecond, func() bool { return !s.primary.server().Replicating() }) {
+		s.violate("primary never detached its dead backup")
 		return
 	}
-	dctx, dcancel := context.WithTimeout(ctx, 20*time.Second)
-	err := cl.Drain(dctx)
-	dcancel()
-	if err != nil {
-		h.violate("final drain failed: %v", err)
-	}
-	h.finals = make([]uint64, len(h.keys))
-	for i := range h.keys {
-		if ctx.Err() != nil {
-			h.violate("final sweep timed out at key %d of %d", i, len(h.keys))
-			return
-		}
-		var v []byte
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			v, err = cl.Get(ctx, h.keys[i])
-			if err == nil {
-				break
-			}
-			if !h.recoverClient(cl) {
-				h.violate("final sweep aborted at key %d: client sessions unrecoverable", i)
-				return
-			}
-		}
-		if err != nil {
-			h.violate("final sweep: key %d unreadable: %v", i, err)
-			continue
-		}
-		if len(v) != 8 {
-			h.violate("final sweep: key %d has %d bytes, want 8", i, len(v))
-			continue
-		}
-		got := binary.LittleEndian.Uint64(v)
-		h.finals[i] = got
-		ks := &h.states[i]
-		acked, issued := ks.acked.Load(), ks.issued.Load()
-		if got < acked || got > issued {
-			h.violate("final sweep: key %d = %d, want within [acked %d, issued %d]",
-				i, got, acked, issued)
-		}
-	}
-}
-
-// dumpArtifacts writes the violation trace and the per-key history table
-// into ArtifactDir after a failed run, so CI uploads them for post-mortem.
-func (h *fharness) dumpArtifacts(res FailoverResult) {
-	if h.cfg.ArtifactDir == "" || len(res.Violations) == 0 {
-		return
-	}
-	if err := os.MkdirAll(h.cfg.ArtifactDir, 0o755); err != nil {
-		h.cfg.Logf("soak: artifact dir: %v", err)
-		return
-	}
-	trace := fmt.Sprintf("fault=%s seed=%d duration=%v promoted_in=%v ops=%d\n\n",
-		res.Fault, h.cfg.Seed, res.Duration, res.PromotedIn, res.Ops)
-	for _, v := range res.Violations {
-		trace += v + "\n"
-	}
-	if err := os.WriteFile(filepath.Join(h.cfg.ArtifactDir, "violations.txt"),
-		[]byte(trace), 0o644); err != nil {
-		h.cfg.Logf("soak: writing violations.txt: %v", err)
-	}
-	hist := "key,hash,issued,acked,observed,final\n"
-	for i := range h.keys {
-		ks := &h.states[i]
-		final := uint64(0)
-		if i < len(h.finals) {
-			final = h.finals[i]
-		}
-		hist += fmt.Sprintf("%s,%#x,%d,%d,%d,%d\n", h.keys[i],
-			faster.HashOf(h.keys[i]), ks.issued.Load(), ks.acked.Load(),
-			ks.observed.Load(), final)
-	}
-	if err := os.WriteFile(filepath.Join(h.cfg.ArtifactDir, "key_history.csv"),
-		[]byte(hist), 0o644); err != nil {
-		h.cfg.Logf("soak: writing key_history.csv: %v", err)
-	}
-	h.cfg.Logf("soak: wrote failure artifacts to %s", h.cfg.ArtifactDir)
+	s.cfg.Logf("soak: primary detached the dead backup")
 }

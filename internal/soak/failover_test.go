@@ -31,10 +31,9 @@ func TestSoakFailoverKillPrimary(t *testing.T) {
 		t.Skip("failover soak takes seconds; skipped in -short")
 	}
 	res, err := RunFailover(FailoverConfig{
+		Load:     Load{Seed: 1, Logf: t.Logf},
 		Fault:    KillPrimary,
 		Duration: 2 * time.Second,
-		Seed:     1,
-		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("failover soak failed: %v", err)
@@ -51,10 +50,9 @@ func TestSoakFailoverKillBackup(t *testing.T) {
 		t.Skip("failover soak takes seconds; skipped in -short")
 	}
 	res, err := RunFailover(FailoverConfig{
+		Load:     Load{Seed: 2, Logf: t.Logf},
 		Fault:    KillBackup,
 		Duration: 2 * time.Second,
-		Seed:     2,
-		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("failover soak failed: %v", err)
@@ -72,10 +70,9 @@ func TestSoakFailoverKillMidPromotion(t *testing.T) {
 		t.Skip("failover soak takes seconds; skipped in -short")
 	}
 	res, err := RunFailover(FailoverConfig{
+		Load:     Load{Seed: 3, Logf: t.Logf},
 		Fault:    KillMidPromotion,
 		Duration: 2 * time.Second,
-		Seed:     3,
-		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("failover soak failed: %v", err)
@@ -94,12 +91,6 @@ func TestSoakFailoverSmoke(t *testing.T) {
 	if os.Getenv("SOAK_FAILOVER") == "" {
 		t.Skip("set SOAK_FAILOVER=1 to run the failover soak smoke")
 	}
-	dur := 10 * time.Second
-	if d := os.Getenv("SOAK_DURATION"); d != "" {
-		if parsed, err := time.ParseDuration(d); err == nil {
-			dur = parsed
-		}
-	}
 	fault := KillPrimary
 	switch os.Getenv("SOAK_FAULT") {
 	case "kill-backup":
@@ -108,11 +99,12 @@ func TestSoakFailoverSmoke(t *testing.T) {
 		fault = KillMidPromotion
 	}
 	res, err := RunFailover(FailoverConfig{
-		Fault:       fault,
-		Duration:    dur,
-		Seed:        int64(envInt("SOAK_SEED", 42)),
-		ArtifactDir: os.Getenv("SOAK_ARTIFACT_DIR"),
-		Logf:        t.Logf,
+		Load: Load{
+			Seed:        int64(envInt("SOAK_SEED", 42)),
+			ArtifactDir: os.Getenv("SOAK_ARTIFACT_DIR"), Logf: t.Logf,
+		},
+		Fault:    fault,
+		Duration: envDuration("SOAK_DURATION", 10*time.Second),
 	})
 	if err != nil {
 		t.Fatalf("failover soak failed: %v", err)

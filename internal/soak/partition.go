@@ -2,18 +2,11 @@ package soak
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/faster"
 	"repro/internal/transport"
 	"repro/shadowfax"
 )
@@ -45,18 +38,11 @@ import (
 // twice.
 
 // PartitionConfig sizes one partition soak. Zero fields take the documented
-// defaults.
+// defaults (Load: 3 clients, 512 keys, 96 ops per batch — with the clients'
+// 16-op wire batches each round pipelines several batches, so the primary's
+// backlog bound genuinely engages during phase A).
 type PartitionConfig struct {
-	// Threads is the servers' dispatcher count (default 1).
-	Threads int
-	// Clients is the number of independent client workers (default 3).
-	Clients int
-	// Keys is the keyspace size (default 512).
-	Keys int
-	// BatchOps is each worker's async ops per flush round (default 96; with
-	// the clients' 16-op wire batches each round pipelines several batches,
-	// so the primary's backlog bound genuinely engages during phase A).
-	BatchOps int
+	Load
 	// Warmup is the clean-load interval before and between fault phases
 	// (default 300ms).
 	Warmup time.Duration
@@ -64,23 +50,11 @@ type PartitionConfig struct {
 	// must exceed the replication ack timeout so the detach fires
 	// (default 900ms).
 	PartitionFor time.Duration
-	// Seed fixes the workers' RNGs and the chaos network's jitter draws.
-	Seed int64
-	// ArtifactDir, when set, receives violations.txt and key_history.csv
-	// after a run that recorded violations (CI failure artifacts).
-	ArtifactDir string
-	// Logf, when set, receives progress lines.
-	Logf func(format string, args ...any)
 }
 
 // PartitionResult is one partition soak's outcome.
 type PartitionResult struct {
-	Duration time.Duration
-
-	// Ops counts acked client operations; AggregateMops is Ops over the
-	// loaded wall clock.
-	Ops           uint64
-	AggregateMops float64
+	Outcome
 
 	// TimeToHeal is phase A's recovery: from the heal instant until the
 	// standby is re-attached and fully re-synced.
@@ -100,37 +74,9 @@ type PartitionResult struct {
 	// (client-observed); ShedRate is that over all batches sent.
 	BatchesShed uint64
 	ShedRate    float64
-
-	// Violations lists every correctness breach observed (capped); empty
-	// means every acked write survived and every read was linearizable.
-	Violations []string
 }
 
-func (c *PartitionConfig) withDefaults() {
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if c.Clients <= 0 {
-		c.Clients = 3
-	}
-	if c.Keys <= 0 {
-		c.Keys = 512
-	}
-	if c.BatchOps <= 0 {
-		c.BatchOps = 96
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 300 * time.Millisecond
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 900 * time.Millisecond
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-}
-
-// Chaos-node names (partitions are cut between these), listen addresses are
+// Chaos-node names (partitions are cut between these); listen addresses are
 // the server ids as usual.
 const (
 	pnMeta     = "meta"
@@ -140,58 +86,26 @@ const (
 	pnClient   = "client"
 
 	ppMetaID     = "meta0"
-	ppPrimaryID  = "p0"
-	ppStandbyID  = "p0-standby"
 	ppStandby2ID = "p0-standby2"
-)
 
-// Replication timing for the soak: tight enough that each phase resolves in
-// hundreds of milliseconds, loose enough to be robust under -race on slow
-// CI machines.
-const (
-	ppHeartbeat  = 10 * time.Millisecond
-	ppFailover   = 120 * time.Millisecond
 	ppAckTimeout = 300 * time.Millisecond
 	ppBacklog    = 4 // MaxConnBacklog: small, so phase A genuinely sheds
 )
 
-type pharness struct {
+type partitionSoak struct {
+	*harness
 	cfg PartitionConfig
 	net *chaos.Network
 
 	// metaCluster carries the in-process state-of-record store; the other
 	// clusters reach it remotely through the chaos network.
-	metaCluster    *shadowfax.Cluster
-	primaryCluster *shadowfax.Cluster
-	standbyCluster *shadowfax.Cluster
-	spawnCluster   *shadowfax.Cluster
-	clientCluster  *shadowfax.Cluster
+	metaCluster *shadowfax.Cluster
+	admin       *shadowfax.Admin
 
-	metaSrv *shadowfax.Server
-	primary *shadowfax.Server
-	standby *shadowfax.Server
-	clients []*shadowfax.Client
-	admin   *shadowfax.Admin
-
-	// spawned is the standby the balancer's SpawnStandby hook provisioned
-	// (phase C's self-healing re-replication).
-	spawnMu   sync.Mutex
-	spawned   *shadowfax.Server
-	spawnedAt time.Time
-
-	keys   [][]byte
-	states []keyState
-
-	stop     atomic.Bool
-	start    time.Time
-	opsAcked atomic.Uint64
-
-	recMu sync.Mutex
-
-	violMu sync.Mutex
-	viol   []string
-
-	finals []uint64
+	// spawn is the slot the balancer's SpawnStandby hook starts (phase C's
+	// self-healing re-replication); it exists up front so the hook boots the
+	// replacement standby without allocating shared fixtures mid-phase.
+	primary, standby, spawn *node
 }
 
 // RunPartition executes one partition soak: boot the chaos topology, preload,
@@ -199,51 +113,38 @@ type pharness struct {
 // Harness failures (a topology that cannot boot) come back as the error;
 // correctness breaches land in Result.Violations.
 func RunPartition(cfg PartitionConfig) (PartitionResult, error) {
-	cfg.withDefaults()
-	h := &pharness{cfg: cfg}
-	h.net = chaos.NewNetwork(transport.NewInMem(transport.Free), uint64(cfg.Seed))
-	defer h.closeAll()
+	cfg.Load.withDefaults(3, 512, 96)
+	if cfg.Warmup <= 0 {
+		cfg.Warmup = 300 * time.Millisecond
+	}
+	if cfg.PartitionFor <= 0 {
+		cfg.PartitionFor = 900 * time.Millisecond
+	}
+	s := &partitionSoak{harness: newHarness(cfg.Load, 10*time.Second), cfg: cfg}
+	s.net = chaos.NewNetwork(transport.NewInMem(transport.Free), uint64(cfg.Seed))
+	defer s.close()
 
-	if err := h.boot(); err != nil {
+	if err := s.boot(); err != nil {
 		return PartitionResult{}, err
 	}
-	if err := h.preload(); err != nil {
+	if err := s.preload(s.clients[0]); err != nil {
 		return PartitionResult{}, err
-	}
-
-	h.start = time.Now()
-	var wg sync.WaitGroup
-	for i, cl := range h.clients {
-		wg.Add(1)
-		go func(idx int, cl *shadowfax.Client) {
-			defer wg.Done()
-			h.worker(idx, cl)
-		}(i, cl)
 	}
 
 	res := PartitionResult{}
-	time.Sleep(cfg.Warmup)
-	h.phaseAPartitionStandby(&res)
-	time.Sleep(cfg.Warmup)
-	h.phaseBPartitionMeta(&res)
-	time.Sleep(cfg.Warmup)
-	h.phaseCKillPrimary(&res)
-	time.Sleep(cfg.Warmup) // load the promoted primary + fresh standby
+	s.drive(func() {
+		time.Sleep(cfg.Warmup)
+		s.phaseAPartitionStandby(&res)
+		time.Sleep(cfg.Warmup)
+		s.phaseBPartitionMeta(&res)
+		time.Sleep(cfg.Warmup)
+		s.phaseCKillPrimary(&res)
+		time.Sleep(cfg.Warmup) // load the promoted primary + fresh standby
+	})
+	s.finalChecks()
 
-	h.stop.Store(true)
-	wg.Wait()
-	loaded := time.Since(h.start)
-
-	h.finalChecks()
-	h.finalSweep()
-
-	res.Duration = loaded
-	res.Ops = h.opsAcked.Load()
-	if secs := loaded.Seconds(); secs > 0 {
-		res.AggregateMops = float64(res.Ops) / secs / 1e6
-	}
 	var sent uint64
-	for _, cl := range h.clients {
+	for _, cl := range s.clients {
 		st := cl.Stats()
 		res.BatchesShed += st.BatchesShed
 		sent += st.BatchesSent
@@ -251,186 +152,66 @@ func RunPartition(cfg PartitionConfig) (PartitionResult, error) {
 	if sent > 0 {
 		res.ShedRate = float64(res.BatchesShed) / float64(sent)
 	}
-	h.violMu.Lock()
-	res.Violations = append(res.Violations, h.viol...)
-	h.violMu.Unlock()
-	h.dumpArtifacts(res)
+	res.Outcome = s.finish(fmt.Sprintf("promoted_in=%v time_to_heal=%v time_to_rereplicate=%v shed=%d",
+		res.PromotedIn, res.TimeToHeal, res.TimeToReReplicate, res.BatchesShed))
 	return res, nil
 }
 
 // boot builds the chaos topology: the metadata endpoint (in-process store,
 // hosting the self-healing balancer), the replicated primary/standby pair on
-// their own chaos nodes, and the client workers — every inter-node frame
-// crosses the chaos network.
-func (h *pharness) boot() error {
-	h.metaCluster = shadowfax.NewCluster(shadowfax.WithTransport(h.net.Node(pnMeta)))
-	metaSrv, err := shadowfax.NewServer(h.metaCluster, ppMetaID,
+// their own chaos nodes, the replacement standby's slot, and the client
+// workers — every inter-node frame crosses the chaos network.
+func (s *partitionSoak) boot() error {
+	s.metaCluster = s.addCluster(shadowfax.WithTransport(s.net.Node(pnMeta)))
+	remote := func(chaosNode string) *shadowfax.Cluster {
+		return s.addCluster(shadowfax.WithTransport(s.net.Node(chaosNode)),
+			shadowfax.WithRemoteMetadata(ppMetaID))
+	}
+	meta := s.addNode(s.metaCluster, ppMetaID, false,
 		shadowfax.WithThreads(1),
 		shadowfax.WithOwnership(), // owns no ranges: pure metadata/balancer host
-		shadowfax.WithSampleDuration(sampleDuration),
 		shadowfax.WithAutoScale(shadowfax.AutoScaleConfig{
 			Every:        50 * time.Millisecond,
 			MinOpsPerSec: 1e12, // never split on load; this balancer only re-replicates
-			SpawnStandby: h.spawnStandby,
+			SpawnStandby: s.spawnStandby,
 		}))
-	if err != nil {
-		return fmt.Errorf("soak: booting metadata host: %w", err)
-	}
-	h.metaSrv = metaSrv
-
-	h.primaryCluster = shadowfax.NewCluster(
-		shadowfax.WithTransport(h.net.Node(pnPrimary)),
-		shadowfax.WithRemoteMetadata(ppMetaID))
-	primary, err := shadowfax.NewServer(h.primaryCluster, ppPrimaryID,
-		shadowfax.WithThreads(h.cfg.Threads),
-		shadowfax.WithSampleDuration(sampleDuration),
+	s.primary = s.addNode(remote(pnPrimary), primaryID, false,
 		shadowfax.WithMaxConnBacklog(ppBacklog),
 		shadowfax.WithLeaseTTL(ppAckTimeout))
-	if err != nil {
-		return fmt.Errorf("soak: booting primary: %w", err)
-	}
-	h.primary = primary
-
-	h.standbyCluster = shadowfax.NewCluster(
-		shadowfax.WithTransport(h.net.Node(pnStandby)),
-		shadowfax.WithRemoteMetadata(ppMetaID))
-	standby, err := shadowfax.NewServer(h.standbyCluster, ppStandbyID,
-		shadowfax.WithThreads(h.cfg.Threads),
-		shadowfax.WithSampleDuration(sampleDuration),
+	s.standby = s.addNode(remote(pnStandby), standbyID, false,
 		shadowfax.WithMaxConnBacklog(ppBacklog),
 		shadowfax.WithLeaseTTL(ppAckTimeout),
-		shadowfax.WithReplication(shadowfax.ReplicationConfig{
-			ReplicaOf:      ppPrimaryID,
-			HeartbeatEvery: ppHeartbeat,
-			FailoverAfter:  ppFailover,
-			AckTimeout:     ppAckTimeout,
-		}))
-	if err != nil {
-		return fmt.Errorf("soak: booting standby: %w", err)
+		replicaOf(ppAckTimeout))
+	for _, nd := range []*node{meta, s.primary, s.standby} {
+		if err := nd.start(); err != nil {
+			return err
+		}
 	}
-	h.standby = standby
-	if !h.waitSynced(time.Minute) {
+	if !waitSynced(s.metaCluster, time.Minute) {
 		return errors.New("soak: standby never finished its base sync")
 	}
+	s.spawn = s.addNode(remote(pnStandby2), ppStandby2ID, false, replicaOf(ppAckTimeout))
 
-	// The spawn cluster exists up front so the balancer hook can boot the
-	// replacement standby without allocating shared fixtures mid-phase.
-	h.spawnCluster = shadowfax.NewCluster(
-		shadowfax.WithTransport(h.net.Node(pnStandby2)),
-		shadowfax.WithRemoteMetadata(ppMetaID))
-
-	h.clientCluster = shadowfax.NewCluster(
-		shadowfax.WithTransport(h.net.Node(pnClient)),
-		shadowfax.WithRemoteMetadata(ppMetaID))
-	for i := 0; i < h.cfg.Clients; i++ {
-		cl, err := shadowfax.Dial(h.clientCluster,
-			shadowfax.WithClientThreads(1), shadowfax.WithBatchOps(16))
-		if err != nil {
-			return fmt.Errorf("soak: dialing client %d: %w", i, err)
-		}
-		h.clients = append(h.clients, cl)
-	}
-	h.admin = shadowfax.NewAdmin(h.clientCluster)
-
-	h.keys = make([][]byte, h.cfg.Keys)
-	h.states = make([]keyState, h.cfg.Keys)
-	for i := range h.keys {
-		h.keys[i] = []byte(fmt.Sprintf("part-%06d", i))
-	}
-	return nil
+	clientCluster := remote(pnClient)
+	s.admin = shadowfax.NewAdmin(clientCluster)
+	return s.dial(clientCluster, shadowfax.WithBatchOps(16))
 }
 
-// spawnStandby is the balancer's self-healing hook: called (rate-limited)
-// when a promoted primary is observed serving with no registered replica.
-func (h *pharness) spawnStandby(primaryID string) error {
-	h.spawnMu.Lock()
-	defer h.spawnMu.Unlock()
-	if h.spawned != nil || h.stop.Load() {
+// spawnStandby is the balancer's self-healing hook: called (rate-limited, by
+// the one balancer goroutine) when a promoted primary is observed serving
+// with no registered replica.
+func (s *partitionSoak) spawnStandby(promoted string) error {
+	if s.spawn.server() != nil || s.stop.Load() {
 		return nil
 	}
-	if primaryID != ppPrimaryID {
-		return fmt.Errorf("soak: spawn hook called for unexpected primary %q", primaryID)
+	if promoted != primaryID {
+		return fmt.Errorf("soak: spawn hook called for unexpected primary %q", promoted)
 	}
-	srv, err := shadowfax.NewServer(h.spawnCluster, ppStandby2ID,
-		shadowfax.WithThreads(h.cfg.Threads),
-		shadowfax.WithSampleDuration(sampleDuration),
-		shadowfax.WithReplication(shadowfax.ReplicationConfig{
-			ReplicaOf:      primaryID,
-			HeartbeatEvery: ppHeartbeat,
-			FailoverAfter:  ppFailover,
-			AckTimeout:     ppAckTimeout,
-		}))
-	if err != nil {
+	if err := s.spawn.start(); err != nil {
 		return err
 	}
-	h.spawned = srv
-	h.spawnedAt = time.Now()
-	h.cfg.Logf("soak: balancer spawned replacement standby for %s", primaryID)
+	s.cfg.Logf("soak: balancer spawned replacement standby for %s", promoted)
 	return nil
-}
-
-func (h *pharness) closeAll() {
-	for _, cl := range h.clients {
-		cl.Close()
-	}
-	h.clients = nil
-	h.spawnMu.Lock()
-	sp := h.spawned
-	h.spawned = nil
-	h.spawnMu.Unlock()
-	if sp != nil {
-		sp.Close()
-	}
-	if h.standby != nil {
-		h.standby.Close()
-	}
-	if h.primary != nil {
-		h.primary.Close()
-	}
-	if h.metaSrv != nil {
-		h.metaSrv.Close()
-	}
-	for _, c := range []*shadowfax.Cluster{
-		h.clientCluster, h.spawnCluster, h.standbyCluster, h.primaryCluster, h.metaCluster,
-	} {
-		if c != nil {
-			c.Close()
-		}
-	}
-}
-
-// waitSynced waits for the state-of-record store to show p0's replica
-// attached and base-synced.
-func (h *pharness) waitSynced(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if r, ok := h.metaCluster.Replicas()[ppPrimaryID]; ok && r.Synced {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return false
-}
-
-func (h *pharness) preload() error {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cl := h.clients[0]
-	zero := make([]byte, 8)
-	for i := range h.keys {
-		if err := cl.Set(ctx, h.keys[i], zero); err != nil {
-			return fmt.Errorf("soak: preloading key %d: %w", i, err)
-		}
-	}
-	return cl.Drain(ctx)
-}
-
-func (h *pharness) violate(format string, args ...any) {
-	h.violMu.Lock()
-	defer h.violMu.Unlock()
-	if len(h.viol) < 32 {
-		h.viol = append(h.viol, fmt.Sprintf(format, args...))
-	}
 }
 
 // ---- fault phases --------------------------------------------------------
@@ -441,48 +222,46 @@ func (h *pharness) violate(format string, args ...any) {
 // detach the silent backup, confirm the detach against the store, and keep
 // serving (shedding past the backlog bound rather than queueing without
 // limit). On heal the standby must re-attach and re-sync.
-func (h *pharness) phaseAPartitionStandby(res *PartitionResult) {
-	h.cfg.Logf("soak: phase A — partitioning primary ⇹ standby for %v", h.cfg.PartitionFor)
-	h.net.Partition(pnPrimary, pnStandby)
+func (s *partitionSoak) phaseAPartitionStandby(res *PartitionResult) {
+	s.cfg.Logf("soak: phase A — partitioning primary ⇹ standby for %v", s.cfg.PartitionFor)
+	s.net.Partition(pnPrimary, pnStandby)
 
 	// Monitor for the forbidden promotion for the whole cut.
-	cutUntil := time.Now().Add(h.cfg.PartitionFor)
+	cut := time.Now()
+	cutUntil := cut.Add(s.cfg.PartitionFor)
+	registered := func() bool {
+		_, ok := s.metaCluster.Replicas()[primaryID]
+		return ok
+	}
 	detached := false
 	for time.Now().Before(cutUntil) {
-		if !h.standby.IsStandby() {
-			h.violate("standby promoted itself during a primary⇹standby partition (primary alive, lease held)")
+		if !s.standby.server().IsStandby() {
+			s.violate("standby promoted itself during a primary⇹standby partition (primary alive, lease held)")
 			break
 		}
-		if !detached {
-			if _, ok := h.metaCluster.Replicas()[ppPrimaryID]; !ok {
-				detached = true
-				h.cfg.Logf("soak: primary detached the silent standby %v into the cut",
-					time.Since(cutUntil.Add(-h.cfg.PartitionFor)).Round(time.Millisecond))
-			}
+		if !detached && !registered() {
+			detached = true
+			s.cfg.Logf("soak: primary detached the silent standby %v into the cut",
+				time.Since(cut).Round(time.Millisecond))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !detached {
-		if _, ok := h.metaCluster.Replicas()[ppPrimaryID]; !ok {
-			detached = true
-		}
-	}
-	if !detached {
-		h.violate("primary never detached its unreachable standby (ack timeout %v, cut %v)",
-			ppAckTimeout, h.cfg.PartitionFor)
+	if !detached && registered() {
+		s.violate("primary never detached its unreachable standby (ack timeout %v, cut %v)",
+			ppAckTimeout, s.cfg.PartitionFor)
 	}
 
 	healed := time.Now()
-	h.net.Heal(pnPrimary, pnStandby)
-	if !h.waitSynced(15 * time.Second) {
-		h.violate("standby never re-attached and re-synced after the partition healed")
+	s.net.Heal(pnPrimary, pnStandby)
+	if !waitSynced(s.metaCluster, 15*time.Second) {
+		s.violate("standby never re-attached and re-synced after the partition healed")
 		return
 	}
-	if !h.standby.IsStandby() {
-		h.violate("standby is not a standby after re-attaching")
+	if !s.standby.server().IsStandby() {
+		s.violate("standby is not a standby after re-attaching")
 	}
 	res.TimeToHeal = time.Since(healed)
-	h.cfg.Logf("soak: phase A healed; standby re-synced in %v", res.TimeToHeal.Round(time.Millisecond))
+	s.cfg.Logf("soak: phase A healed; standby re-synced in %v", res.TimeToHeal.Round(time.Millisecond))
 }
 
 // phaseBPartitionMeta cuts primary⇹metadata (and resets the cached
@@ -490,288 +269,75 @@ func (h *pharness) phaseAPartitionStandby(res *PartitionResult) {
 // timeout). The primary must degrade to its cached snapshot and keep
 // serving; the degradation must be visible over the public balance-status
 // surface; and a heal must converge back to healthy.
-func (h *pharness) phaseBPartitionMeta(res *PartitionResult) {
-	h.cfg.Logf("soak: phase B — partitioning primary ⇹ metadata")
-	h.net.Partition(pnPrimary, pnMeta)
-	h.net.ResetConns(pnPrimary, pnMeta)
+func (s *partitionSoak) phaseBPartitionMeta(res *PartitionResult) {
+	s.cfg.Logf("soak: phase B — partitioning primary ⇹ metadata")
+	s.net.Partition(pnPrimary, pnMeta)
+	s.net.ResetConns(pnPrimary, pnMeta)
 
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		bs, err := h.admin.BalanceStatus(ctx, ppPrimaryID)
-		cancel()
-		if err == nil && bs.DegradedFor > 0 {
-			res.DegradedObserved = bs.DegradedFor
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if res.DegradedObserved == 0 {
-		h.violate("primary never reported a degraded metadata provider during the metadata partition")
+	var ok bool
+	if res.DegradedObserved, ok = s.awaitDegraded(true); !ok {
+		s.violate("primary never reported a degraded metadata provider during the metadata partition")
 	}
 
-	h.net.Heal(pnPrimary, pnMeta)
-	deadline = time.Now().Add(10 * time.Second)
-	recovered := false
-	for time.Now().Before(deadline) {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		bs, err := h.admin.BalanceStatus(ctx, ppPrimaryID)
-		cancel()
-		if err == nil && bs.DegradedFor == 0 {
-			recovered = true
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	s.net.Heal(pnPrimary, pnMeta)
+	if _, ok = s.awaitDegraded(false); !ok {
+		s.violate("metadata provider never converged back to healthy after the partition healed")
 	}
-	if !recovered {
-		h.violate("metadata provider never converged back to healthy after the partition healed")
-	}
-	h.cfg.Logf("soak: phase B healed; provider recovered (peak degraded %v)",
+	s.cfg.Logf("soak: phase B healed; provider recovered (peak degraded %v)",
 		res.DegradedObserved.Round(time.Millisecond))
+}
+
+// awaitDegraded polls the primary's balance-status surface until its
+// metadata provider reports itself degraded (or, for false, healthy again)
+// and returns the DegradedFor that satisfied the wait.
+func (s *partitionSoak) awaitDegraded(degraded bool) (seen time.Duration, ok bool) {
+	ok = poll(10*time.Second, 20*time.Millisecond, func() bool {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		bs, err := s.admin.BalanceStatus(ctx, primaryID)
+		seen = bs.DegradedFor
+		return err == nil && (seen > 0) == degraded
+	})
+	return seen, ok
 }
 
 // phaseCKillPrimary kills the primary under live load. The standby must win
 // exactly one promotion, and the balancer must then notice the promoted
 // primary serving un-replicated and spawn a replacement standby through its
 // SpawnStandby hook.
-func (h *pharness) phaseCKillPrimary(res *PartitionResult) {
-	h.cfg.Logf("soak: phase C — killing primary")
+func (s *partitionSoak) phaseCKillPrimary(res *PartitionResult) {
+	s.cfg.Logf("soak: phase C — killing primary")
 	killed := time.Now()
-	h.primary.Close()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for h.standby.IsStandby() {
-		if time.Now().After(deadline) {
-			h.violate("standby never promoted itself after the primary died")
-			return
-		}
-		time.Sleep(time.Millisecond)
+	s.primary.kill()
+	var ok bool
+	if res.PromotedIn, ok = s.awaitPromotion(s.standby, killed); !ok {
+		return
 	}
-	res.PromotedIn = time.Since(killed)
 	promoted := time.Now()
-	h.cfg.Logf("soak: standby promoted %v after the kill", res.PromotedIn.Round(time.Millisecond))
 
 	// Self-healing: the balancer must provision a fresh standby and that
 	// standby must reach synced without any harness intervention.
-	if !h.waitSynced(30 * time.Second) {
-		h.violate("no replacement standby re-attached after the failover (SpawnStandby never healed)")
+	if !waitSynced(s.metaCluster, 30*time.Second) {
+		s.violate("no replacement standby re-attached after the failover (SpawnStandby never healed)")
 		return
 	}
-	h.spawnMu.Lock()
-	sp := h.spawned
-	h.spawnMu.Unlock()
-	if sp == nil {
-		h.violate("a replica attached after the failover but not through the SpawnStandby hook")
+	if s.spawn.server() == nil {
+		s.violate("a replica attached after the failover but not through the SpawnStandby hook")
 		return
 	}
 	res.TimeToReReplicate = time.Since(promoted)
-	h.cfg.Logf("soak: replacement standby synced %v after the promotion",
+	s.cfg.Logf("soak: replacement standby synced %v after the promotion",
 		res.TimeToReReplicate.Round(time.Millisecond))
 }
 
 // finalChecks asserts the terminal topology: exactly one promotion happened
 // and the replacement standby is still an unpromoted standby.
-func (h *pharness) finalChecks() {
-	proms := h.metaCluster.PromotedServers()
-	if len(proms) != 1 || proms[0] != ppPrimaryID {
-		h.violate("promoted-server set is %v, want exactly [%s]", proms, ppPrimaryID)
+func (s *partitionSoak) finalChecks() {
+	proms := s.metaCluster.PromotedServers()
+	if len(proms) != 1 || proms[0] != primaryID {
+		s.violate("promoted-server set is %v, want exactly [%s]", proms, primaryID)
 	}
-	h.spawnMu.Lock()
-	sp := h.spawned
-	h.spawnMu.Unlock()
-	if sp != nil && !sp.IsStandby() {
-		h.violate("replacement standby promoted itself with its primary alive")
+	if sp := s.spawn.server(); sp != nil && !sp.IsStandby() {
+		s.violate("replacement standby promoted itself with its primary alive")
 	}
-}
-
-// ---- workload ------------------------------------------------------------
-
-// worker drives one client with zipf-skewed batches of RMW increments and
-// checked reads, repairing its sessions when a phase breaks them. Shed
-// batches are retried inside the client (with a backoff pause), so a shed
-// never surfaces here — only broken sessions do.
-func (h *pharness) worker(idx int, cl *shadowfax.Client) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(idx)*7919))
-	zipf := rand.NewZipf(rng, 1.2, 8, uint64(h.cfg.Keys-1))
-	delta := make([]byte, 8)
-	binary.LittleEndian.PutUint64(delta, 1)
-
-	type pendingOp struct {
-		f    *shadowfax.Future
-		key  int
-		read bool
-		lb   uint64
-	}
-	pend := make([]pendingOp, 0, h.cfg.BatchOps)
-
-	for !h.stop.Load() {
-		pend = pend[:0]
-		for j := 0; j < h.cfg.BatchOps; j++ {
-			k := int(zipf.Uint64() % uint64(h.cfg.Keys))
-			ks := &h.states[k]
-			if rng.Intn(4) == 0 {
-				lb := ks.acked.Load()
-				if o := ks.observed.Load(); o > lb {
-					lb = o
-				}
-				pend = append(pend, pendingOp{f: cl.GetAsync(h.keys[k]), key: k, read: true, lb: lb})
-			} else {
-				ks.issued.Add(1)
-				pend = append(pend, pendingOp{f: cl.RMWAsync(h.keys[k], delta), key: k})
-			}
-		}
-		cl.Flush()
-		wctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		needRecover := false
-		for _, p := range pend {
-			v, err := p.f.Wait(wctx)
-			ks := &h.states[p.key]
-			switch {
-			case err == nil && p.read:
-				if len(v) != 8 {
-					h.violate("key %d: read returned %d bytes, want 8", p.key, len(v))
-				} else {
-					got := binary.LittleEndian.Uint64(v)
-					hi := ks.issued.Load()
-					if got < p.lb || got > hi {
-						h.violate("key %d (hash %#x): read %d outside linearizable bounds [%d, %d]",
-							p.key, faster.HashOf(h.keys[p.key]), got, p.lb, hi)
-					}
-					casMax(&ks.observed, got)
-				}
-				h.opsAcked.Add(1)
-			case err == nil:
-				ks.acked.Add(1)
-				h.opsAcked.Add(1)
-			case p.read && errors.Is(err, shadowfax.ErrNotFound):
-				h.violate("key %d (hash %#x): vanished (NotFound after preload)",
-					p.key, faster.HashOf(h.keys[p.key]))
-			default:
-				// A batch a phase broke: its RMWs stay indeterminate (unacked;
-				// the [acked, issued] bounds cover both outcomes). Repair the
-				// sessions before the next batch.
-				needRecover = true
-			}
-			p.f.Release()
-		}
-		cancel()
-		if needRecover && !h.stop.Load() {
-			h.recoverClient(cl)
-		}
-	}
-}
-
-// recoverClient repairs a client's sessions after a fault, retrying while a
-// promotion or detach is still in flight. Serialized so concurrent workers
-// don't stack redundant handshakes.
-func (h *pharness) recoverClient(cl *shadowfax.Client) bool {
-	h.recMu.Lock()
-	defer h.recMu.Unlock()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := cl.RecoverSessions(ctx)
-		cancel()
-		if err == nil {
-			return true
-		}
-		if time.Now().After(deadline) {
-			h.violate("client session recovery wedged: %v", err)
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// finalSweep reads every key once more: each counter must hold at least
-// every acked increment (zero acked-write loss across every phase) and at
-// most every issued one (no replay applied twice).
-func (h *pharness) finalSweep() {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cl := h.clients[0]
-	if !h.recoverClient(cl) {
-		h.violate("final sweep aborted: client sessions unrecoverable")
-		return
-	}
-	dctx, dcancel := context.WithTimeout(ctx, 20*time.Second)
-	err := cl.Drain(dctx)
-	dcancel()
-	if err != nil {
-		h.violate("final drain failed: %v", err)
-	}
-	h.finals = make([]uint64, len(h.keys))
-	for i := range h.keys {
-		if ctx.Err() != nil {
-			h.violate("final sweep timed out at key %d of %d", i, len(h.keys))
-			return
-		}
-		var v []byte
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			v, err = cl.Get(ctx, h.keys[i])
-			if err == nil {
-				break
-			}
-			if !h.recoverClient(cl) {
-				h.violate("final sweep aborted at key %d: client sessions unrecoverable", i)
-				return
-			}
-		}
-		if err != nil {
-			h.violate("final sweep: key %d unreadable: %v", i, err)
-			continue
-		}
-		if len(v) != 8 {
-			h.violate("final sweep: key %d has %d bytes, want 8", i, len(v))
-			continue
-		}
-		got := binary.LittleEndian.Uint64(v)
-		h.finals[i] = got
-		ks := &h.states[i]
-		acked, issued := ks.acked.Load(), ks.issued.Load()
-		if got < acked || got > issued {
-			h.violate("final sweep: key %d = %d, want within [acked %d, issued %d]",
-				i, got, acked, issued)
-		}
-	}
-}
-
-// dumpArtifacts writes the violation trace and the per-key history table
-// into ArtifactDir after a failed run, so CI uploads them for post-mortem.
-func (h *pharness) dumpArtifacts(res PartitionResult) {
-	if h.cfg.ArtifactDir == "" || len(res.Violations) == 0 {
-		return
-	}
-	if err := os.MkdirAll(h.cfg.ArtifactDir, 0o755); err != nil {
-		h.cfg.Logf("soak: artifact dir: %v", err)
-		return
-	}
-	trace := fmt.Sprintf(
-		"seed=%d duration=%v promoted_in=%v time_to_heal=%v time_to_rereplicate=%v shed=%d ops=%d\n\n",
-		h.cfg.Seed, res.Duration, res.PromotedIn, res.TimeToHeal,
-		res.TimeToReReplicate, res.BatchesShed, res.Ops)
-	for _, v := range res.Violations {
-		trace += v + "\n"
-	}
-	if err := os.WriteFile(filepath.Join(h.cfg.ArtifactDir, "violations.txt"),
-		[]byte(trace), 0o644); err != nil {
-		h.cfg.Logf("soak: writing violations.txt: %v", err)
-	}
-	hist := "key,hash,issued,acked,observed,final\n"
-	for i := range h.keys {
-		ks := &h.states[i]
-		final := uint64(0)
-		if i < len(h.finals) {
-			final = h.finals[i]
-		}
-		hist += fmt.Sprintf("%s,%#x,%d,%d,%d,%d\n", h.keys[i],
-			faster.HashOf(h.keys[i]), ks.issued.Load(), ks.acked.Load(),
-			ks.observed.Load(), final)
-	}
-	if err := os.WriteFile(filepath.Join(h.cfg.ArtifactDir, "key_history.csv"),
-		[]byte(hist), 0o644); err != nil {
-		h.cfg.Logf("soak: writing key_history.csv: %v", err)
-	}
-	h.cfg.Logf("soak: wrote failure artifacts to %s", h.cfg.ArtifactDir)
 }

@@ -20,10 +20,7 @@ func TestPartitionSoakSmoke(t *testing.T) {
 		// Two dispatchers so the servers cross replication/checkpoint cuts
 		// from concurrent sessions — the regression surface for cross-version
 		// copy-on-write around a cut (Store.CutPending).
-		Threads:     2,
-		Seed:        41,
-		ArtifactDir: os.Getenv("SOAK_ARTIFACT_DIR"),
-		Logf:        t.Logf,
+		Load: Load{Threads: 2, Seed: 41, ArtifactDir: os.Getenv("SOAK_ARTIFACT_DIR"), Logf: t.Logf},
 	})
 	if err != nil {
 		t.Fatalf("partition soak failed to run: %v", err)
@@ -41,12 +38,9 @@ func TestPartitionSoakSweep(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			res, err := RunPartition(PartitionConfig{
-				Threads:      2,
-				Seed:         seed,
+				Load:         Load{Threads: 2, Seed: seed, ArtifactDir: os.Getenv("SOAK_ARTIFACT_DIR"), Logf: t.Logf},
 				PartitionFor: 1200 * time.Millisecond,
 				Warmup:       500 * time.Millisecond,
-				ArtifactDir:  os.Getenv("SOAK_ARTIFACT_DIR"),
-				Logf:         t.Logf,
 			})
 			if err != nil {
 				t.Fatalf("seed %d: partition soak failed to run: %v", seed, err)

@@ -17,12 +17,9 @@ func TestSoakLinearizability(t *testing.T) {
 		t.Skip("soak takes seconds; skipped in -short")
 	}
 	res, err := Run(Config{
+		Load:     Load{Clients: 4, Keys: 2048, Seed: 1, Logf: t.Logf},
 		Servers:  8,
-		Clients:  4,
-		Keys:     2048,
 		Duration: 4 * time.Second,
-		Seed:     1,
-		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("soak run failed: %v", err)
@@ -48,13 +45,10 @@ func TestSoakReadCache(t *testing.T) {
 		t.Skip("soak takes seconds; skipped in -short")
 	}
 	res, err := Run(Config{
+		Load:      Load{Clients: 4, Keys: 4096, Seed: 7, Logf: t.Logf},
 		Servers:   4,
-		Clients:   4,
-		Keys:      4096,
 		Duration:  4 * time.Second,
-		Seed:      7,
 		ReadCache: true,
-		Logf:      t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("soak run failed: %v", err)
@@ -66,28 +60,23 @@ func TestSoakReadCache(t *testing.T) {
 
 // TestSoakSmoke is the CI smoke configuration: 4 servers, a longer budget,
 // fixed seed. Gated behind SOAK_SMOKE=1 so the ordinary test run stays fast;
-// the CI workflow's soak job sets it.
+// the CI workflow's soak job sets it. On violations the harness dumps
+// violations.txt and key_history.csv into SOAK_ARTIFACT_DIR for upload.
 func TestSoakSmoke(t *testing.T) {
 	if os.Getenv("SOAK_SMOKE") == "" {
 		t.Skip("set SOAK_SMOKE=1 to run the CI soak smoke")
 	}
-	dur := 30 * time.Second
-	if d := os.Getenv("SOAK_DURATION"); d != "" {
-		if parsed, err := time.ParseDuration(d); err == nil {
-			dur = parsed
-		}
-	}
 	res, err := Run(Config{
+		Load: Load{
+			Clients: 4, Keys: 2048, Seed: 42,
+			ArtifactDir: os.Getenv("SOAK_ARTIFACT_DIR"), Logf: t.Logf,
+		},
 		Servers:         4,
-		Clients:         4,
-		Keys:            2048,
-		Duration:        dur,
-		Seed:            42,
+		Duration:        envDuration("SOAK_DURATION", 30*time.Second),
 		Kills:           3,
 		Cancels:         3,
 		ConcurrentPairs: 3,
 		OverlapAttempts: 3,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("soak run failed: %v", err)

@@ -6,7 +6,7 @@
 // substitutes simulated devices with configurable latency and IOPS throttles.
 // The HybridLog and the migration protocol only require an asynchronous block
 // device and a slow-but-shared remote object store; the simulation preserves
-// exactly those properties (see DESIGN.md §2).
+// exactly those properties (see "Hardware substitutions" in EXPERIMENTS.md).
 package storage
 
 import (

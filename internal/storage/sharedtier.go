@@ -46,17 +46,6 @@ func NewSharedTier(model LatencyModel) *SharedTier {
 	}
 }
 
-// DefaultBlobModel mirrors the paper's premium-storage page blob figures,
-// scaled to wall-clock simulation.
-func DefaultBlobModel() LatencyModel {
-	return LatencyModel{
-		ReadLatency:  2 * time.Millisecond,
-		WriteLatency: 2 * time.Millisecond,
-		IOPS:         7500,
-		BytesPerSec:  250 << 20,
-	}
-}
-
 func (t *SharedTier) log(id string) *blobLog {
 	t.mu.RLock()
 	l, ok := t.logs[id]

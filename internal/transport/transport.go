@@ -7,9 +7,9 @@
 // None of that hardware exists here, so every transport applies an explicit
 // CostModel — a calibrated busy-spin per frame and per byte on both the send
 // and receive paths — which exposes exactly the variable the experiments
-// measure (DESIGN.md §2). The TCP transport is real net.Listen/net.Dial TCP
-// with length-prefixed frames; the in-process transport is a pair of
-// channels for single-binary experiments.
+// measure ("Hardware substitutions" in EXPERIMENTS.md). The TCP transport is
+// real net.Listen/net.Dial TCP with length-prefixed frames; the in-process
+// transport is a pair of channels for single-binary experiments.
 package transport
 
 import (

@@ -642,7 +642,7 @@ type StatsResp struct {
 
 	StorePendingReads uint64 // pending storage I/Os the store has issued
 
-	// Cold-read pipeline and read-cache counters (PR 8). Encoded after
+	// Cold-read pipeline and read-cache counters (PR 10). Encoded after
 	// BatchesShed (tail appends; absent in frames from older servers).
 	PendingCoalesced uint64 // pending reads that shared an in-flight device read
 	ReadCacheHits    uint64 // in-memory hits on read-cache-promoted keys
