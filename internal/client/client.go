@@ -10,6 +10,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"time"
@@ -232,6 +233,15 @@ func (t *Thread) issue(kind wire.OpKind, key, value []byte, cb Callback) error {
 			cb(wire.StatusClosed, nil)
 		}
 		return ErrClosed
+	}
+	if len(key) > math.MaxUint16 {
+		// A request batch carries key lengths as u16. Encoded anyway, the
+		// frame would fail the server's decode and every op batched with
+		// this one would wait forever, so the op completes here instead.
+		if cb != nil {
+			cb(wire.StatusErr, nil)
+		}
+		return fmt.Errorf("client: %d-byte key exceeds the %d-byte wire limit", len(key), math.MaxUint16)
 	}
 	op := queuedOp{kind: kind,
 		key:   append([]byte(nil), key...),

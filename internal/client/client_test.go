@@ -349,3 +349,34 @@ func TestCloseCompletesOutstanding(t *testing.T) {
 	}
 	ct.Close() // idempotent
 }
+
+// TestOversizedKeyRefusedAtIssue: a request batch carries key lengths as u16,
+// so a 65,536-byte key cannot be encoded. It must complete with StatusErr at
+// issue time — before it joins a batch, where it used to corrupt the frame
+// and strand every op batched with it — and leave the thread usable.
+func TestOversizedKeyRefusedAtIssue(t *testing.T) {
+	meta, tr, _ := fixture(t)
+	ct, err := client.NewThread(client.Config{Transport: tr, Meta: meta, BatchOps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+
+	var neighbour, big wire.ResultStatus = 0xFF, 0xFF
+	ct.Upsert([]byte("neighbour"), []byte("v"), func(st wire.ResultStatus, _ []byte) { neighbour = st })
+	err = ct.Upsert(make([]byte, 1<<16), []byte("v"), func(st wire.ResultStatus, _ []byte) { big = st })
+	if err == nil || big != wire.StatusErr {
+		t.Fatalf("oversized key: err %v, callback status %d; want an error and StatusErr", err, big)
+	}
+	if got := ct.Outstanding(); got != 1 {
+		t.Fatalf("outstanding = %d, want 1 (only the neighbour)", got)
+	}
+	var got string
+	ct.Read([]byte("neighbour"), func(_ wire.ResultStatus, v []byte) { got = string(v) })
+	if !ct.Drain(5 * time.Second) {
+		t.Fatal("drain timed out: the batch the oversized key was issued into never completed")
+	}
+	if neighbour != wire.StatusOK || got != "v" {
+		t.Fatalf("neighbour status %d, read back %q", neighbour, got)
+	}
+}

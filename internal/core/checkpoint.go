@@ -340,8 +340,11 @@ func readServerSection(r io.Reader) (metadata.View, map[uint64]uint32, []faster.
 	if _, err := io.ReadFull(r, cnt[:]); err != nil {
 		return metadata.View{}, nil, nil, fmt.Errorf("core: reading session count: %w", err)
 	}
+	// The counts come off the checkpoint device, so nothing is sized from
+	// them: a corrupt image fails the loop's first short read instead of
+	// asking for gigabytes up front.
 	nSess := binary.LittleEndian.Uint32(cnt[:])
-	sessions := make(map[uint64]uint32, nSess)
+	sessions := make(map[uint64]uint32)
 	var sbuf [12]byte
 	for i := uint32(0); i < nSess; i++ {
 		if _, err := io.ReadFull(r, sbuf[:]); err != nil {

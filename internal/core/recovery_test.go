@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -337,4 +340,36 @@ func leU64(b []byte) uint64 {
 		v = v<<8 | uint64(b[i])
 	}
 	return v
+}
+
+// TestServerSectionCorruptCounts: the range, session and fence counts in a
+// checkpoint image's server section are read off the device. A corrupt count
+// must fail on the first short read, not size an allocation: with
+// 0xFFFFFFFF in each position in turn, the parse errors out having
+// allocated next to nothing.
+func TestServerSectionCorruptCounts(t *testing.T) {
+	var good bytes.Buffer
+	writeServerSection(&good, metadata.View{Number: 7}, nil, nil)
+	// Layout with no ranges, sessions or fences: magic, version, view number,
+	// then the three u32 counts at 16, 20 and 24.
+	if good.Len() != 28 {
+		t.Fatalf("empty server section is %d bytes, want 28", good.Len())
+	}
+	if _, _, _, err := readServerSection(bytes.NewReader(good.Bytes())); err != nil {
+		t.Fatalf("pristine section rejected: %v", err)
+	}
+	for _, off := range []int{16, 20, 24} {
+		img := append([]byte(nil), good.Bytes()...)
+		binary.LittleEndian.PutUint32(img[off:], 0xFFFFFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := readServerSection(bytes.NewReader(img))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("count at offset %d = 0xFFFFFFFF accepted", off)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("count at offset %d: parse allocated %d bytes before failing", off, grew)
+		}
+	}
 }

@@ -26,26 +26,43 @@ const (
 	MsgDropped //shadowfax:ignore wireguard retired frame kept for wire-compat numbering; decode path removed deliberately
 )
 
-type decoder struct{ buf []byte }
+// decoder mirrors the real package's sticky-error cursor: getters return
+// the value only and the first short read latches err.
+type decoder struct {
+	buf []byte
+	err error
+}
 
-func (d *decoder) remaining() int { return len(d.buf) }
-
-func (d *decoder) u8() (byte, error) {
+func (d *decoder) u8() byte {
 	if len(d.buf) == 0 {
-		return 0, errShort
+		d.err, d.buf = errShort, nil
+		return 0
 	}
 	b := d.buf[0]
 	d.buf = d.buf[1:]
-	return b, nil
+	return b
 }
 
-func (d *decoder) u32() (uint32, error) {
-	if len(d.buf) < 4 {
-		return 0, errShort
+func (d *decoder) u32() uint32 {
+	return uint32(d.u8()) | uint32(d.u8())<<8 | uint32(d.u8())<<16 | uint32(d.u8())<<24
+}
+
+// count is the guarded way to read a list length.
+func (d *decoder) count(minElemBytes int) int {
+	n := d.u32()
+	if uint64(n) > uint64(len(d.buf)/minElemBytes) {
+		d.err, d.buf = errShort, nil
+		return 0
 	}
-	v := uint32(d.buf[0]) | uint32(d.buf[1])<<8 | uint32(d.buf[2])<<16 | uint32(d.buf[3])<<24
-	d.buf = d.buf[4:]
-	return v, nil
+	return int(n)
+}
+
+// open checks the type byte.
+func open(buf []byte, want MsgType) decoder {
+	if len(buf) == 0 || MsgType(buf[0]) != want {
+		return decoder{err: errShort}
+	}
+	return decoder{buf: buf[1:]}
 }
 
 func EncodeGood(val []byte) []byte {
@@ -56,24 +73,12 @@ func EncodeGood(val []byte) []byte {
 }
 
 func DecodeGood(buf []byte) ([]byte, error) {
-	d := decoder{buf: buf}
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgGood {
-		return nil, errShort
-	}
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > d.remaining() {
-		return nil, errShort
-	}
-	out := make([]byte, n)
+	d := open(buf, MsgGood)
+	out := make([]byte, d.count(1))
 	for i := range out {
-		if out[i], err = d.u8(); err != nil {
-			return nil, err
-		}
+		out[i] = d.u8()
 	}
-	return out, nil
+	return out, d.err
 }
 
 func EncodeBareReq() []byte {
@@ -93,21 +98,12 @@ func EncodeNoSeed(v uint32) []byte {
 }
 
 func DecodeNoSeed(buf []byte) ([]byte, error) {
-	d := decoder{buf: buf}
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgNoSeed {
-		return nil, errShort
-	}
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n) //shadowfax:ignore wireguard count is bounded by the connection read limit upstream
+	d := open(buf, MsgNoSeed)
+	out := make([]byte, d.u32()) //shadowfax:ignore wireguard count is bounded by the connection read limit upstream
 	for i := range out {
-		if out[i], err = d.u8(); err != nil {
-			return nil, err
-		}
+		out[i] = d.u8()
 	}
-	return out, nil
+	return out, d.err
 }
 
 func EncodeNoTrip(v uint32) []byte {
@@ -115,22 +111,15 @@ func EncodeNoTrip(v uint32) []byte {
 	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
+// DecodeNoTrip sizes its allocation by a raw decoded count instead of
+// count(): the unguarded case the analyzer exists to catch.
 func DecodeNoTrip(buf []byte) ([]byte, error) {
-	d := decoder{buf: buf}
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgNoTrip {
-		return nil, errShort
-	}
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n) // want `never calls remaining`
+	d := open(buf, MsgNoTrip)
+	out := make([]byte, d.u32()) // want `never calls count`
 	for i := range out {
-		if out[i], err = d.u8(); err != nil {
-			return nil, err
-		}
+		out[i] = d.u8()
 	}
-	return out, nil
+	return out, d.err
 }
 
 // Dyn is the dynamic-frame payload: one encoder and one decoder serve
@@ -143,15 +132,11 @@ func EncodeDyn(m Dyn) []byte {
 
 func DecodeDyn(buf []byte) (Dyn, error) {
 	d := decoder{buf: buf}
-	t, err := d.u8()
-	if err != nil {
-		return Dyn{}, err
-	}
-	m := Dyn{Type: MsgType(t)}
+	m := Dyn{Type: MsgType(d.u8())}
 	switch m.Type {
 	case MsgDynA, MsgDynB:
 	default:
 		return Dyn{}, errShort
 	}
-	return m, nil
+	return m, d.err
 }

@@ -4,9 +4,10 @@
 // real format, and a round-trip test.
 //
 // The wire format is hand-rolled (paper §3: binary sessions over TCP), so
-// nothing regenerates decoders from a schema — a new frame type is four
-// hand-written artifacts that drift independently. This analyzer makes the
-// drift a vet failure instead of a prod incident.
+// nothing regenerates decoders from a schema — a new frame type is a struct
+// with its encoder, a decoder and a fuzz seed, written by hand and free to
+// drift apart. This analyzer makes the drift a vet failure instead of a prod
+// incident.
 package wireguard
 
 import (
@@ -35,10 +36,11 @@ constants of that type (internal/wire). For every frame constant it verifies:
   - some Test* function reaches both an encoder and a decoder of the frame
     (a round-trip); bodyless frames are exempt
 
-Independently, any decoder-constructing non-test function that calls
-make with an attacker-controlled (non-constant) count must consult
-remaining() first — the count-guard idiom that stops a 4-byte header from
-requesting a multi-gigabyte allocation. Suppress with
+Independently, any non-test function that reads through the decoder and
+calls make with a non-constant size must get that size from the decoder's
+count helper — the one place a decoded count is checked against the bytes
+left in the frame, which stops a 4-byte header from requesting a
+multi-gigabyte allocation. Suppress with
 //shadowfax:ignore wireguard <reason> on the constant's declaration line or
 the allocation site.`,
 	Run: run,
@@ -52,7 +54,7 @@ type funcInfo struct {
 	plainRefs map[*types.Const]bool // constants referenced outside byte()
 	dynEnc    bool                  // converts a non-constant MsgType to byte
 	usesDec   bool                  // constructs or holds the decoder type
-	remaining bool                  // calls (*decoder).remaining
+	counts    bool                  // calls (*decoder).count
 	rawMakes  []token.Pos           // make calls with non-constant sizes
 	bodyless  *types.Const          // body is exactly `return []byte{byte(C)}`
 	callees   []*types.Func
@@ -128,16 +130,16 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	// Count-guard sweep: decoder functions that size allocations from the
-	// frame must consult remaining() before trusting the count.
+	// frame must read the size through count().
 	for _, fi := range infos {
-		if fi.testFile || !fi.usesDec || fi.remaining {
+		if fi.testFile || !fi.usesDec || fi.counts {
 			continue
 		}
 		for _, pos := range fi.rawMakes {
-			pass.Reportf(pos, "decoder %s allocates with a count read from the frame but never calls "+
-				"remaining(): a corrupt or hostile length prefix becomes an arbitrary-size allocation — "+
-				"bound the count against remaining() (see DecodeRequestBatch) or suppress with "+
-				"//shadowfax:ignore wireguard <reason>", fi.fn.Name())
+			pass.Reportf(pos, "decoder %s allocates with a size read from the frame but never calls "+
+				"count(): a corrupt or hostile length prefix becomes an arbitrary-size allocation — "+
+				"read the element count with d.count(minElemBytes) (see DecodeRequestBatch) or "+
+				"suppress with //shadowfax:ignore wireguard <reason>", fi.fn.Name())
 		}
 	}
 
@@ -278,9 +280,9 @@ func index(pass *analysis.Pass, msgType, decType *types.TypeName) []*funcInfo {
 						fi.rawMakes = append(fi.rawMakes, n.Pos())
 					}
 				}
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "remaining" {
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "count" {
 					if decType != nil && namedIs(pass.TypesInfo.TypeOf(sel.X), decType) {
-						fi.remaining = true
+						fi.counts = true
 					}
 				}
 				if callee := analysis.FuncOrigin(analysis.StaticCallee(pass.TypesInfo, n)); callee != nil &&

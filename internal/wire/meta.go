@@ -1,7 +1,5 @@
 package wire
 
-import "fmt"
-
 // Control-plane frames for the elastic metadata service and the load
 // balancer. A designated metadata endpoint (any server backed by the local
 // in-process metadata store) serves MsgMetaReq so out-of-process servers,
@@ -159,44 +157,23 @@ func EncodeMetaReq(r *MetaReq) []byte {
 	dst = appendU64(dst, r.ViewNumber)
 	dst = appendU64(dst, r.RangeStart)
 	dst = appendU64(dst, r.RangeEnd)
-	dst = appendU32(dst, uint32(len(r.Ranges)))
-	for _, rng := range r.Ranges {
-		dst = appendU64(dst, rng.Start)
-		dst = appendU64(dst, rng.End)
-	}
-	return dst
+	return appendRanges(dst, r.Ranges)
 }
 
 // DecodeMetaReq parses a MsgMetaReq frame.
 func DecodeMetaReq(buf []byte) (MetaReq, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgMetaReq)
 	var r MetaReq
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgMetaReq {
-		return r, fmt.Errorf("%w: meta req", ErrBadType)
-	}
-	op, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	r.Op = MetaOp(op)
-	if r.ServerID, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Target, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Addr, err = d.str(); err != nil {
-		return r, err
-	}
-	for _, p := range []*uint64{&r.MigrationID, &r.ViewNumber, &r.RangeStart, &r.RangeEnd} {
-		if *p, err = d.u64(); err != nil {
-			return r, err
-		}
-	}
-	if r.Ranges, err = decodeRanges(&d); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.Op = MetaOp(d.u8())
+	r.ServerID = d.str()
+	r.Target = d.str()
+	r.Addr = d.str()
+	r.MigrationID = d.u64()
+	r.ViewNumber = d.u64()
+	r.RangeStart = d.u64()
+	r.RangeEnd = d.u64()
+	r.Ranges = d.ranges()
+	return r, d.err
 }
 
 // appendMetaMigration encodes one migration record (shared by the Migration
@@ -226,35 +203,37 @@ func appendMetaMigration(dst []byte, m *MetaMigration) []byte {
 // (id + epoch + flags + range + two empty strings); count-guard denominator.
 const metaMigrationMinBytes = 8 + 8 + 1 + 8 + 8 + 2 + 2
 
-func decodeMetaMigration(d *decoder) (MetaMigration, error) {
+func (d *decoder) metaMigration() MetaMigration {
 	var m MetaMigration
-	var err error
-	if m.ID, err = d.u64(); err != nil {
-		return m, err
-	}
-	if m.Epoch, err = d.u64(); err != nil {
-		return m, err
-	}
-	flags, err := d.u8()
-	if err != nil {
-		return m, err
-	}
+	m.ID = d.u64()
+	m.Epoch = d.u64()
+	flags := d.u8()
 	m.SourceDone = flags&1 != 0
 	m.TargetDone = flags&2 != 0
 	m.Cancelled = flags&4 != 0
-	if m.RangeStart, err = d.u64(); err != nil {
-		return m, err
+	m.RangeStart = d.u64()
+	m.RangeEnd = d.u64()
+	m.Source = d.str()
+	m.Target = d.str()
+	return m
+}
+
+// metaMigrations reads a counted list of migration records.
+func (d *decoder) metaMigrations() []MetaMigration {
+	out := make([]MetaMigration, d.count(metaMigrationMinBytes))
+	for i := range out {
+		out[i] = d.metaMigration()
 	}
-	if m.RangeEnd, err = d.u64(); err != nil {
-		return m, err
+	return out
+}
+
+// appendMetaMigrations encodes a counted list of migration records.
+func appendMetaMigrations(dst []byte, ms []MetaMigration) []byte {
+	dst = appendU32(dst, uint32(len(ms)))
+	for i := range ms {
+		dst = appendMetaMigration(dst, &ms[i])
 	}
-	if m.Source, err = d.str(); err != nil {
-		return m, err
-	}
-	if m.Target, err = d.str(); err != nil {
-		return m, err
-	}
-	return m, nil
+	return dst
 }
 
 // EncodeMetaResp builds a MsgMetaResp frame.
@@ -272,16 +251,9 @@ func EncodeMetaResp(r *MetaResp) []byte {
 		dst = appendString(dst, s.ID)
 		dst = appendString(dst, s.Addr)
 		dst = appendU64(dst, s.ViewNumber)
-		dst = appendU32(dst, uint32(len(s.Ranges)))
-		for _, rng := range s.Ranges {
-			dst = appendU64(dst, rng.Start)
-			dst = appendU64(dst, rng.End)
-		}
+		dst = appendRanges(dst, s.Ranges)
 	}
-	dst = appendU32(dst, uint32(len(r.Migrations)))
-	for i := range r.Migrations {
-		dst = appendMetaMigration(dst, &r.Migrations[i])
-	}
+	dst = appendMetaMigrations(dst, r.Migrations)
 	dst = appendU32(dst, uint32(len(r.Replicas)))
 	for i := range r.Replicas {
 		dst = appendString(dst, r.Replicas[i].PrimaryID)
@@ -295,120 +267,40 @@ func EncodeMetaResp(r *MetaResp) []byte {
 	return dst
 }
 
-// DecodeMetaResp parses a MsgMetaResp frame.
+// DecodeMetaResp parses a MsgMetaResp frame. A frame may end before the
+// tail-appended Promoted list (older encoders); the list then decodes empty.
 func DecodeMetaResp(buf []byte) (MetaResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgMetaResp)
 	var r MetaResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgMetaResp {
-		return r, fmt.Errorf("%w: meta resp", ErrBadType)
-	}
-	var err error
-	if r.OK, err = d.bool(); err != nil {
-		return r, err
-	}
-	ec, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	r.ErrCode = MetaErr(ec)
-	if r.Err, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.MigValid, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Migration, err = decodeMetaMigration(&d); err != nil {
-		return r, err
-	}
-	if r.Revision, err = d.u64(); err != nil {
-		return r, err
-	}
-	nsrv, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each server entry encodes to at least 16 bytes (two empty strings +
-	// view number + range count); a count the remaining frame cannot hold is
-	// a corrupt or hostile frame, not an allocation request.
-	if uint64(nsrv) > uint64(d.remaining())/16 {
-		return r, ErrShortFrame
-	}
-	if nsrv > 0 {
-		r.Servers = make([]MetaServer, nsrv)
-	}
+	r.OK = d.bool()
+	r.ErrCode = MetaErr(d.u8())
+	r.Err = d.str()
+	r.MigValid = d.bool()
+	r.Migration = d.metaMigration()
+	r.Revision = d.u64()
+	r.Servers = make([]MetaServer, d.count(16)) // two empty strings + view number + range count
 	for i := range r.Servers {
 		s := &r.Servers[i]
-		if s.ID, err = d.str(); err != nil {
-			return r, err
-		}
-		if s.Addr, err = d.str(); err != nil {
-			return r, err
-		}
-		if s.ViewNumber, err = d.u64(); err != nil {
-			return r, err
-		}
-		if s.Ranges, err = decodeRanges(&d); err != nil {
-			return r, err
-		}
+		s.ID = d.str()
+		s.Addr = d.str()
+		s.ViewNumber = d.u64()
+		s.Ranges = d.ranges()
 	}
-	nmig, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	if uint64(nmig) > uint64(d.remaining())/metaMigrationMinBytes {
-		return r, ErrShortFrame
-	}
-	if nmig > 0 {
-		r.Migrations = make([]MetaMigration, nmig)
-	}
-	for i := range r.Migrations {
-		if r.Migrations[i], err = decodeMetaMigration(&d); err != nil {
-			return r, err
-		}
-	}
-	nrep, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each replica entry encodes to at least 5 bytes (two empty strings +
-	// synced flag).
-	if uint64(nrep) > uint64(d.remaining())/5 {
-		return r, ErrShortFrame
-	}
-	if nrep > 0 {
-		r.Replicas = make([]MetaReplica, nrep)
-	}
+	r.Migrations = d.metaMigrations()
+	r.Replicas = make([]MetaReplica, d.count(5)) // two empty strings + synced flag
 	for i := range r.Replicas {
-		if r.Replicas[i].PrimaryID, err = d.str(); err != nil {
-			return r, err
-		}
-		if r.Replicas[i].Addr, err = d.str(); err != nil {
-			return r, err
-		}
-		if r.Replicas[i].Synced, err = d.bool(); err != nil {
-			return r, err
-		}
+		rep := &r.Replicas[i]
+		rep.PrimaryID = d.str()
+		rep.Addr = d.str()
+		rep.Synced = d.bool()
 	}
-	// Tail-appended promoted list; absent in frames from older encoders.
 	if d.remaining() > 0 {
-		nprom, err := d.u32()
-		if err != nil {
-			return r, err
-		}
-		// Each id encodes to at least 2 bytes (empty string).
-		if uint64(nprom) > uint64(d.remaining())/2 {
-			return r, ErrShortFrame
-		}
-		if nprom > 0 {
-			r.Promoted = make([]string, nprom)
-		}
+		r.Promoted = make([]string, d.count(2)) // an empty id is its two length bytes
 		for i := range r.Promoted {
-			if r.Promoted[i], err = d.str(); err != nil {
-				return r, err
-			}
+			r.Promoted[i] = d.str()
 		}
 	}
-	return r, nil
+	return r, d.err
 }
 
 // RebalanceResp reports one balancer planning pass: whether it acted, the
@@ -435,48 +327,38 @@ func EncodeRebalanceResp(r RebalanceResp) []byte {
 	dst := []byte{byte(MsgRebalanceResp)}
 	dst = appendBool(dst, r.OK)
 	dst = appendString(dst, r.Err)
+	return appendDecision(dst, &r)
+}
+
+// appendDecision encodes the planning-decision fields a RebalanceResp and a
+// BalanceStatusResp's Last share.
+func appendDecision(dst []byte, r *RebalanceResp) []byte {
 	dst = appendBool(dst, r.Acted)
 	dst = appendString(dst, r.Source)
 	dst = appendString(dst, r.Target)
 	dst = appendU64(dst, r.RangeStart)
 	dst = appendU64(dst, r.RangeEnd)
-	dst = appendString(dst, r.Reason)
-	return dst
+	return appendString(dst, r.Reason)
+}
+
+// decision reads the fields appendDecision wrote into r.
+func (d *decoder) decision(r *RebalanceResp) {
+	r.Acted = d.bool()
+	r.Source = d.str()
+	r.Target = d.str()
+	r.RangeStart = d.u64()
+	r.RangeEnd = d.u64()
+	r.Reason = d.str()
 }
 
 // DecodeRebalanceResp parses a MsgRebalanceResp frame.
 func DecodeRebalanceResp(buf []byte) (RebalanceResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgRebalanceResp)
 	var r RebalanceResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgRebalanceResp {
-		return r, fmt.Errorf("%w: rebalance resp", ErrBadType)
-	}
-	var err error
-	if r.OK, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Err, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Acted, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Source, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Target, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.RangeStart, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.RangeEnd, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.Reason, err = d.str(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.OK = d.bool()
+	r.Err = d.str()
+	d.decision(&r)
+	return r, d.err
 }
 
 // ServerRate is one server's observed load inside a BalanceStatusResp.
@@ -519,158 +401,34 @@ func EncodeBalanceStatusResp(r *BalanceStatusResp) []byte {
 	dst = appendU64(dst, r.Passes)
 	dst = appendU64(dst, r.Triggered)
 	dst = appendU64(dst, r.CooldownMs)
-	last := r.Last
-	dst = appendBool(dst, last.Acted)
-	dst = appendString(dst, last.Source)
-	dst = appendString(dst, last.Target)
-	dst = appendU64(dst, last.RangeStart)
-	dst = appendU64(dst, last.RangeEnd)
-	dst = appendString(dst, last.Reason)
+	dst = appendDecision(dst, &r.Last)
 	dst = appendU32(dst, uint32(len(r.Rates)))
 	for i := range r.Rates {
 		dst = appendString(dst, r.Rates[i].ID)
 		dst = appendU64(dst, r.Rates[i].MilliOps)
 	}
-	dst = appendU32(dst, uint32(len(r.InFlight)))
-	for i := range r.InFlight {
-		dst = appendMetaMigration(dst, &r.InFlight[i])
-	}
-	dst = appendU64(dst, r.DegradedMs)
-	return dst
+	dst = appendMetaMigrations(dst, r.InFlight)
+	return appendU64(dst, r.DegradedMs)
 }
 
-// DecodeBalanceStatusResp parses a MsgBalanceStatusResp frame.
+// DecodeBalanceStatusResp parses a MsgBalanceStatusResp frame. A frame may
+// end before the tail-appended DegradedMs (older encoders); it decodes as 0.
 func DecodeBalanceStatusResp(buf []byte) (BalanceStatusResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgBalanceStatusResp)
 	var r BalanceStatusResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgBalanceStatusResp {
-		return r, fmt.Errorf("%w: balance status resp", ErrBadType)
-	}
-	var err error
-	if r.Enabled, err = d.bool(); err != nil {
-		return r, err
-	}
-	for _, p := range []*uint64{&r.Passes, &r.Triggered, &r.CooldownMs} {
-		if *p, err = d.u64(); err != nil {
-			return r, err
-		}
-	}
-	if r.Last.Acted, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Last.Source, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Last.Target, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Last.RangeStart, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.Last.RangeEnd, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.Last.Reason, err = d.str(); err != nil {
-		return r, err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each rate entry encodes to at least 10 bytes (empty id + rate).
-	if uint64(n) > uint64(d.remaining())/10 {
-		return r, ErrShortFrame
-	}
-	if n > 0 {
-		r.Rates = make([]ServerRate, n)
-	}
+	r.Enabled = d.bool()
+	r.Passes = d.u64()
+	r.Triggered = d.u64()
+	r.CooldownMs = d.u64()
+	d.decision(&r.Last)
+	r.Rates = make([]ServerRate, d.count(10)) // empty id + rate
 	for i := range r.Rates {
-		if r.Rates[i].ID, err = d.str(); err != nil {
-			return r, err
-		}
-		if r.Rates[i].MilliOps, err = d.u64(); err != nil {
-			return r, err
-		}
+		r.Rates[i].ID = d.str()
+		r.Rates[i].MilliOps = d.u64()
 	}
-	nmig, err := d.u32()
-	if err != nil {
-		return r, err
+	r.InFlight = d.metaMigrations()
+	if d.remaining() > 0 {
+		r.DegradedMs = d.u64()
 	}
-	if uint64(nmig) > uint64(d.remaining())/metaMigrationMinBytes {
-		return r, ErrShortFrame
-	}
-	if nmig > 0 {
-		r.InFlight = make([]MetaMigration, nmig)
-	}
-	for i := range r.InFlight {
-		if r.InFlight[i], err = decodeMetaMigration(&d); err != nil {
-			return r, err
-		}
-	}
-	// Tail-appended degraded-cache age; absent in frames from older encoders.
-	if d.remaining() >= 8 {
-		if r.DegradedMs, err = d.u64(); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
-}
-
-// decodeRanges parses a u32-counted list of 16-byte ranges with the standard
-// count guard.
-func decodeRanges(d *decoder) ([]Range, error) {
-	cnt, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Each range encodes to 16 bytes.
-	if uint64(cnt) > uint64(d.remaining())/16 {
-		return nil, ErrShortFrame
-	}
-	if cnt == 0 {
-		return nil, nil
-	}
-	out := make([]Range, cnt)
-	for i := range out {
-		if out[i].Start, err = d.u64(); err != nil {
-			return nil, err
-		}
-		if out[i].End, err = d.u64(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// appendString encodes a u16-length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-// str reads a u16-length-prefixed string.
-func (d *decoder) str() (string, error) {
-	n, err := d.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// bool reads a single byte as a boolean.
-func (d *decoder) bool() (bool, error) {
-	v, err := d.u8()
-	return v != 0, err
-}
-
-// appendBool encodes a boolean as one byte.
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
+	return r, d.err
 }

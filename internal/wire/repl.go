@@ -1,7 +1,5 @@
 package wire
 
-import "fmt"
-
 // Primary→backup replication frames (continuing the MsgType enum), plus the
 // scale-in drain admin frames. The replication stream has two parts: a base
 // sync (BaseBegin, Records*, SessTab, BaseDone) shipping the sealed pre-cut
@@ -52,31 +50,18 @@ func EncodeReplAttach(r ReplAttach) []byte {
 	dst = appendString(dst, r.PrimaryID)
 	dst = appendString(dst, r.ReplicaAddr)
 	dst = appendU32(dst, r.HeartbeatMs)
-	dst = appendU32(dst, r.AckTimeoutMs)
-	return dst
+	return appendU32(dst, r.AckTimeoutMs)
 }
 
 // DecodeReplAttach parses a MsgReplAttach frame.
 func DecodeReplAttach(buf []byte) (ReplAttach, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplAttach)
 	var r ReplAttach
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplAttach {
-		return r, fmt.Errorf("%w: repl attach", ErrBadType)
-	}
-	var err error
-	if r.PrimaryID, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.ReplicaAddr, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.HeartbeatMs, err = d.u32(); err != nil {
-		return r, err
-	}
-	if r.AckTimeoutMs, err = d.u32(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.PrimaryID = d.str()
+	r.ReplicaAddr = d.str()
+	r.HeartbeatMs = d.u32()
+	r.AckTimeoutMs = d.u32()
+	return r, d.err
 }
 
 // ReplAttachResp accepts or refuses an attach.
@@ -89,25 +74,16 @@ type ReplAttachResp struct {
 func EncodeReplAttachResp(r ReplAttachResp) []byte {
 	dst := []byte{byte(MsgReplAttachResp)}
 	dst = appendBool(dst, r.OK)
-	dst = appendString(dst, r.Err)
-	return dst
+	return appendString(dst, r.Err)
 }
 
 // DecodeReplAttachResp parses a MsgReplAttachResp frame.
 func DecodeReplAttachResp(buf []byte) (ReplAttachResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplAttachResp)
 	var r ReplAttachResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplAttachResp {
-		return r, fmt.Errorf("%w: repl attach resp", ErrBadType)
-	}
-	var err error
-	if r.OK, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Err, err = d.str(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.OK = d.bool()
+	r.Err = d.str()
+	return r, d.err
 }
 
 // ReplBaseBegin opens the base sync.
@@ -122,28 +98,17 @@ func EncodeReplBaseBegin(r ReplBaseBegin) []byte {
 	dst := []byte{byte(MsgReplBaseBegin)}
 	dst = appendU64(dst, r.Seq)
 	dst = appendU32(dst, r.Sealed)
-	dst = appendU64(dst, r.CutTail)
-	return dst
+	return appendU64(dst, r.CutTail)
 }
 
 // DecodeReplBaseBegin parses a MsgReplBaseBegin frame.
 func DecodeReplBaseBegin(buf []byte) (ReplBaseBegin, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplBaseBegin)
 	var r ReplBaseBegin
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplBaseBegin {
-		return r, fmt.Errorf("%w: repl base begin", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.Sealed, err = d.u32(); err != nil {
-		return r, err
-	}
-	if r.CutTail, err = d.u64(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.Seq = d.u64()
+	r.Sealed = d.u32()
+	r.CutTail = d.u64()
+	return r, d.err
 }
 
 // ReplRecords is one batch of base-state records.
@@ -156,63 +121,16 @@ type ReplRecords struct {
 func EncodeReplRecords(r *ReplRecords) []byte {
 	dst := []byte{byte(MsgReplRecords)}
 	dst = appendU64(dst, r.Seq)
-	dst = appendU32(dst, uint32(len(r.Records)))
-	for i := range r.Records {
-		rec := &r.Records[i]
-		dst = appendU64(dst, rec.Hash)
-		dst = append(dst, rec.Flags)
-		dst = appendU16(dst, uint16(len(rec.Key)))
-		dst = appendU32(dst, uint32(len(rec.Value)))
-		dst = append(dst, rec.Key...)
-		dst = append(dst, rec.Value...)
-	}
-	return dst
+	return appendRecords(dst, r.Records)
 }
 
 // DecodeReplRecords parses a MsgReplRecords frame; records alias buf.
 func DecodeReplRecords(buf []byte) (ReplRecords, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplRecords)
 	var r ReplRecords
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplRecords {
-		return r, fmt.Errorf("%w: repl records", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	cnt, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each record encodes to at least 15 bytes (hash+flags+klen+vlen).
-	if uint64(cnt) > uint64(d.remaining())/15 {
-		return r, ErrShortFrame
-	}
-	r.Records = make([]MigrationRecord, cnt)
-	for i := range r.Records {
-		rec := &r.Records[i]
-		if rec.Hash, err = d.u64(); err != nil {
-			return r, err
-		}
-		if rec.Flags, err = d.u8(); err != nil {
-			return r, err
-		}
-		klen, err := d.u16()
-		if err != nil {
-			return r, err
-		}
-		vlen, err := d.u32()
-		if err != nil {
-			return r, err
-		}
-		if rec.Key, err = d.bytes(int(klen)); err != nil {
-			return r, err
-		}
-		if rec.Value, err = d.bytes(int(vlen)); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
+	r.Seq = d.u64()
+	r.Records = d.records()
+	return r, d.err
 }
 
 // ReplSession is one client session's durable high-water mark.
@@ -243,38 +161,15 @@ func EncodeReplSessTab(r *ReplSessTab) []byte {
 
 // DecodeReplSessTab parses a MsgReplSessTab frame.
 func DecodeReplSessTab(buf []byte) (ReplSessTab, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplSessTab)
 	var r ReplSessTab
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplSessTab {
-		return r, fmt.Errorf("%w: repl sess tab", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.Sealed, err = d.u32(); err != nil {
-		return r, err
-	}
-	cnt, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each session entry encodes to 12 bytes.
-	if uint64(cnt) > uint64(d.remaining())/12 {
-		return r, ErrShortFrame
-	}
-	if cnt > 0 {
-		r.Sessions = make([]ReplSession, cnt)
-	}
+	r.Seq = d.u64()
+	r.Sealed = d.u32()
+	r.Sessions = make([]ReplSession, d.count(12))
 	for i := range r.Sessions {
-		if r.Sessions[i].ID, err = d.u64(); err != nil {
-			return r, err
-		}
-		if r.Sessions[i].LastSeq, err = d.u32(); err != nil {
-			return r, err
-		}
+		r.Sessions[i] = ReplSession{ID: d.u64(), LastSeq: d.u32()}
 	}
-	return r, nil
+	return r, d.err
 }
 
 // ReplBaseDone closes the base sync.
@@ -290,25 +185,16 @@ type ReplBaseDone struct {
 func EncodeReplBaseDone(r ReplBaseDone) []byte {
 	dst := []byte{byte(MsgReplBaseDone)}
 	dst = appendU64(dst, r.Seq)
-	dst = appendU32(dst, r.SkippedIndirections)
-	return dst
+	return appendU32(dst, r.SkippedIndirections)
 }
 
 // DecodeReplBaseDone parses a MsgReplBaseDone frame.
 func DecodeReplBaseDone(buf []byte) (ReplBaseDone, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplBaseDone)
 	var r ReplBaseDone
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplBaseDone {
-		return r, fmt.Errorf("%w: repl base done", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	if r.SkippedIndirections, err = d.u32(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.Seq = d.u64()
+	r.SkippedIndirections = d.u32()
+	return r, d.err
 }
 
 // ReplBatch embeds one accepted client request batch verbatim: the backup
@@ -331,23 +217,11 @@ func EncodeReplBatch(r *ReplBatch) []byte {
 
 // DecodeReplBatch parses a MsgReplBatch frame; Batch aliases buf.
 func DecodeReplBatch(buf []byte) (ReplBatch, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgReplBatch)
 	var r ReplBatch
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplBatch {
-		return r, fmt.Errorf("%w: repl batch", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	if r.Batch, err = d.bytes(int(n)); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.Seq = d.u64()
+	r.Batch = d.bytes(int(d.u32()))
+	return r, d.err
 }
 
 // ReplAck is the backup's cumulative acknowledgement: every primary frame
@@ -359,23 +233,14 @@ type ReplAck struct {
 
 // EncodeReplAck builds a MsgReplAck frame.
 func EncodeReplAck(r ReplAck) []byte {
-	dst := []byte{byte(MsgReplAck)}
-	dst = appendU64(dst, r.Seq)
-	return dst
+	return appendU64([]byte{byte(MsgReplAck)}, r.Seq)
 }
 
 // DecodeReplAck parses a MsgReplAck frame.
 func DecodeReplAck(buf []byte) (ReplAck, error) {
-	d := decoder{buf: buf}
-	var r ReplAck
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplAck {
-		return r, fmt.Errorf("%w: repl ack", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	return r, nil
+	d := open(buf, MsgReplAck)
+	r := ReplAck{Seq: d.u64()}
+	return r, d.err
 }
 
 // ReplHeartbeat keeps the stream's liveness observable while idle.
@@ -385,23 +250,14 @@ type ReplHeartbeat struct {
 
 // EncodeReplHeartbeat builds a MsgReplHeartbeat frame.
 func EncodeReplHeartbeat(r ReplHeartbeat) []byte {
-	dst := []byte{byte(MsgReplHeartbeat)}
-	dst = appendU64(dst, r.Seq)
-	return dst
+	return appendU64([]byte{byte(MsgReplHeartbeat)}, r.Seq)
 }
 
 // DecodeReplHeartbeat parses a MsgReplHeartbeat frame.
 func DecodeReplHeartbeat(buf []byte) (ReplHeartbeat, error) {
-	d := decoder{buf: buf}
-	var r ReplHeartbeat
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgReplHeartbeat {
-		return r, fmt.Errorf("%w: repl heartbeat", ErrBadType)
-	}
-	var err error
-	if r.Seq, err = d.u64(); err != nil {
-		return r, err
-	}
-	return r, nil
+	d := open(buf, MsgReplHeartbeat)
+	r := ReplHeartbeat{Seq: d.u64()}
+	return r, d.err
 }
 
 // EncodeDrainReq builds a MsgDrain frame (admin: migrate everything away and
@@ -424,29 +280,16 @@ func EncodeDrainResp(r DrainResp) []byte {
 	dst = appendBool(dst, r.OK)
 	dst = appendString(dst, r.Err)
 	dst = appendBool(dst, r.Retired)
-	dst = appendU32(dst, r.Moved)
-	return dst
+	return appendU32(dst, r.Moved)
 }
 
 // DecodeDrainResp parses a MsgDrainResp frame.
 func DecodeDrainResp(buf []byte) (DrainResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgDrainResp)
 	var r DrainResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgDrainResp {
-		return r, fmt.Errorf("%w: drain resp", ErrBadType)
-	}
-	var err error
-	if r.OK, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Err, err = d.str(); err != nil {
-		return r, err
-	}
-	if r.Retired, err = d.bool(); err != nil {
-		return r, err
-	}
-	if r.Moved, err = d.u32(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.OK = d.bool()
+	r.Err = d.str()
+	r.Retired = d.bool()
+	r.Moved = d.u32()
+	return r, d.err
 }

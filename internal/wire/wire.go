@@ -1,12 +1,35 @@
 // Package wire defines Shadowfax's binary message formats (§3.1, §3.3):
-// view-tagged request/response batches between clients and servers, and the
-// migration RPCs between source and target. Encoding is hand-rolled
-// little-endian with zero reflection so the hot path allocates nothing
-// beyond the batch buffers themselves.
+// view-tagged request/response batches between clients and servers, the
+// migration RPCs between source and target (wire.go), the metadata-service
+// and balancer control plane (meta.go) and the primary→backup replication
+// stream (repl.go). Encoding is hand-rolled little-endian with zero
+// reflection; the batch hot path allocates nothing beyond the batch buffers.
+//
+// Every frame is a type byte followed by fixed-order fields. Encoders append
+// with the append* helpers; decoders read through the one cursor in
+// cursor.go, and the contract is the same for all of them:
+//
+//   - open(buf, MsgX) checks the type byte, then read the fields in the order
+//     the encoder wrote them (d.u8/u16/u32/u64/bool/str/bytes);
+//   - size every slice with d.count(minElemBytes), never with a raw decoded
+//     integer — count is the one place a length prefix is checked against
+//     the bytes left in the frame;
+//   - end with `return r, d.err`. The first short read latches ErrShortFrame
+//     and every later read yields zero, so there is nothing to check between
+//     fields — and the decoded values mean nothing when the error is non-nil.
+//
+// A field appended to an existing frame goes at the tail, guarded by
+// `if d.remaining() > 0`, so frames from older encoders still decode.
+//
+// Adding a frame is three steps: (1) the MsgX constant, the struct and its
+// Encode function; (2) the Decode function, plus an errBadType entry so a
+// wrong-type error names it; (3) a seed in fuzzSeeds() and an entry in
+// frameDecoders (cursor_test.go), which buys the fuzzer, the every-prefix
+// truncation test and the golden-bytes hash. shadowfax-vet's wireguard
+// analyzer fails the build when a step is missing.
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -171,57 +194,23 @@ func AppendRequestBatch(dst []byte, b *RequestBatch) []byte {
 //
 //shadowfax:noalloc
 func DecodeRequestBatch(buf []byte, b *RequestBatch) error {
-	d := decoder{buf: buf}
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgRequestBatch {
-		return fmt.Errorf("%w: request batch", ErrBadType) //shadowfax:ignore hotpathalloc malformed-frame error path; never taken for well-formed traffic
-	}
-	var err error
-	if b.View, err = d.u64(); err != nil {
-		return err
-	}
-	if b.SessionID, err = d.u64(); err != nil {
-		return err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	// Each op encodes to at least 11 bytes (kind+seq+klen+vlen); a count the
-	// remaining frame cannot hold is a corrupt or hostile frame, not an
-	// allocation request.
-	if uint64(n) > uint64(d.remaining())/11 {
-		return ErrShortFrame
-	}
-	if cap(b.Ops) < int(n) {
+	d := open(buf, MsgRequestBatch)
+	b.View = d.u64()
+	b.SessionID = d.u64()
+	n := d.count(11) // kind+seq+klen+vlen
+	if cap(b.Ops) < n {
 		b.Ops = make([]Op, n) //shadowfax:ignore hotpathalloc amortized: grows to the high-water batch size once, then the buffer is reused
 	}
 	b.Ops = b.Ops[:n]
 	for i := range b.Ops {
 		op := &b.Ops[i]
-		k, err := d.u8()
-		if err != nil {
-			return err
-		}
-		op.Kind = OpKind(k)
-		if op.Seq, err = d.u32(); err != nil {
-			return err
-		}
-		klen, err := d.u16()
-		if err != nil {
-			return err
-		}
-		vlen, err := d.u32()
-		if err != nil {
-			return err
-		}
-		if op.Key, err = d.bytes(int(klen)); err != nil {
-			return err
-		}
-		if op.Value, err = d.bytes(int(vlen)); err != nil {
-			return err
-		}
+		op.Kind = OpKind(d.u8())
+		op.Seq = d.u32()
+		klen, vlen := int(d.u16()), int(d.u32())
+		op.Key = d.bytes(klen)
+		op.Value = d.bytes(vlen)
 	}
-	return nil
+	return d.err
 }
 
 // AppendResponseBatch encodes r after dst.
@@ -254,54 +243,24 @@ func AppendResponseBatch(dst []byte, r *ResponseBatch) []byte {
 //
 //shadowfax:noalloc
 func DecodeResponseBatch(buf []byte, r *ResponseBatch) error {
-	d := decoder{buf: buf}
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgResponseBatch {
-		return fmt.Errorf("%w: response batch", ErrBadType) //shadowfax:ignore hotpathalloc malformed-frame error path; never taken for well-formed traffic
-	}
-	var err error
-	if r.SessionID, err = d.u64(); err != nil {
-		return err
-	}
-	flags, err := d.u8()
-	if err != nil {
-		return err
-	}
+	d := open(buf, MsgResponseBatch)
+	r.SessionID = d.u64()
+	flags := d.u8()
 	r.Rejected = flags&respFlagRejected != 0
 	r.Shed = flags&respFlagShed != 0
-	if r.ServerView, err = d.u64(); err != nil {
-		return err
-	}
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	// Each result encodes to at least 9 bytes (seq+status+vlen).
-	if uint64(n) > uint64(d.remaining())/9 {
-		return ErrShortFrame
-	}
-	if cap(r.Results) < int(n) {
+	r.ServerView = d.u64()
+	n := d.count(9) // seq+status+vlen
+	if cap(r.Results) < n {
 		r.Results = make([]Result, n) //shadowfax:ignore hotpathalloc amortized: grows to the high-water batch size once, then the buffer is reused
 	}
 	r.Results = r.Results[:n]
 	for i := range r.Results {
 		res := &r.Results[i]
-		if res.Seq, err = d.u32(); err != nil {
-			return err
-		}
-		st, err := d.u8()
-		if err != nil {
-			return err
-		}
-		res.Status = ResultStatus(st)
-		vlen, err := d.u32()
-		if err != nil {
-			return err
-		}
-		if res.Value, err = d.bytes(int(vlen)); err != nil {
-			return err
-		}
+		res.Seq = d.u32()
+		res.Status = ResultStatus(d.u8())
+		res.Value = d.bytes(int(d.u32()))
 	}
-	return nil
+	return d.err
 }
 
 // MigrateCmd asks a server to migrate a hash range (client→source).
@@ -316,35 +275,15 @@ func EncodeMigrate(c MigrateCmd) []byte {
 	dst := []byte{byte(MsgMigrate)}
 	dst = appendU64(dst, c.RangeStart)
 	dst = appendU64(dst, c.RangeEnd)
-	dst = appendU16(dst, uint16(len(c.Target)))
-	dst = append(dst, c.Target...)
-	return dst
+	return appendString(dst, c.Target)
 }
 
 // DecodeMigrate parses a MsgMigrate frame.
 func DecodeMigrate(buf []byte) (MigrateCmd, error) {
-	d := decoder{buf: buf}
-	var c MigrateCmd
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgMigrate {
-		return c, fmt.Errorf("%w: migrate", ErrBadType)
-	}
-	var err error
-	if c.RangeStart, err = d.u64(); err != nil {
-		return c, err
-	}
-	if c.RangeEnd, err = d.u64(); err != nil {
-		return c, err
-	}
-	n, err := d.u16()
-	if err != nil {
-		return c, err
-	}
-	tb, err := d.bytes(int(n))
-	if err != nil {
-		return c, err
-	}
-	c.Target = string(tb)
-	return c, nil
+	d := open(buf, MsgMigrate)
+	c := MigrateCmd{RangeStart: d.u64(), RangeEnd: d.u64()}
+	c.Target = d.str()
+	return c, d.err
 }
 
 // MigrationRecord is one record inside migration RPC payloads.
@@ -378,103 +317,35 @@ type MigrationMsg struct {
 func EncodeMigrationMsg(m *MigrationMsg) []byte {
 	dst := []byte{byte(m.Type)}
 	dst = appendU64(dst, m.MigrationID)
-	dst = appendU16(dst, uint16(len(m.SourceID)))
-	dst = append(dst, m.SourceID...)
+	dst = appendString(dst, m.SourceID)
 	dst = appendU64(dst, m.RangeStart)
 	dst = appendU64(dst, m.RangeEnd)
 	dst = appendU64(dst, m.ViewNumber)
-	if m.Final {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = appendU32(dst, uint32(len(m.Records)))
-	for i := range m.Records {
-		r := &m.Records[i]
-		dst = appendU64(dst, r.Hash)
-		dst = append(dst, r.Flags)
-		dst = appendU16(dst, uint16(len(r.Key)))
-		dst = appendU32(dst, uint32(len(r.Value)))
-		dst = append(dst, r.Key...)
-		dst = append(dst, r.Value...)
-	}
-	return dst
+	dst = appendBool(dst, m.Final)
+	return appendRecords(dst, m.Records)
 }
 
 // DecodeMigrationMsg parses any migration frame; records alias buf.
 func DecodeMigrationMsg(buf []byte) (MigrationMsg, error) {
 	d := decoder{buf: buf}
-	var m MigrationMsg
-	t, err := d.u8()
-	if err != nil {
-		return m, err
-	}
-	m.Type = MsgType(t)
+	m := MigrationMsg{Type: MsgType(d.u8())}
 	switch m.Type {
 	case MsgPrepForTransfer, MsgTransferOwnership, MsgMigrationRecords,
 		MsgCompleteMigration, MsgAck, MsgCompacted:
 	default:
-		return m, fmt.Errorf("%w: migration msg got %d", ErrBadType, t)
-	}
-	if m.MigrationID, err = d.u64(); err != nil {
-		return m, err
-	}
-	n, err := d.u16()
-	if err != nil {
-		return m, err
-	}
-	src, err := d.bytes(int(n))
-	if err != nil {
-		return m, err
-	}
-	m.SourceID = string(src)
-	if m.RangeStart, err = d.u64(); err != nil {
-		return m, err
-	}
-	if m.RangeEnd, err = d.u64(); err != nil {
-		return m, err
-	}
-	if m.ViewNumber, err = d.u64(); err != nil {
-		return m, err
-	}
-	fin, err := d.u8()
-	if err != nil {
-		return m, err
-	}
-	m.Final = fin != 0
-	cnt, err := d.u32()
-	if err != nil {
-		return m, err
-	}
-	// Each record encodes to at least 15 bytes (hash+flags+klen+vlen).
-	if uint64(cnt) > uint64(d.remaining())/15 {
-		return m, ErrShortFrame
-	}
-	m.Records = make([]MigrationRecord, cnt)
-	for i := range m.Records {
-		r := &m.Records[i]
-		if r.Hash, err = d.u64(); err != nil {
-			return m, err
+		if d.err != nil { // empty frame
+			return m, d.err
 		}
-		if r.Flags, err = d.u8(); err != nil {
-			return m, err
-		}
-		klen, err := d.u16()
-		if err != nil {
-			return m, err
-		}
-		vlen, err := d.u32()
-		if err != nil {
-			return m, err
-		}
-		if r.Key, err = d.bytes(int(klen)); err != nil {
-			return m, err
-		}
-		if r.Value, err = d.bytes(int(vlen)); err != nil {
-			return m, err
-		}
+		return m, fmt.Errorf("%w: migration msg got %d", ErrBadType, m.Type)
 	}
-	return m, nil
+	m.MigrationID = d.u64()
+	m.SourceID = d.str()
+	m.RangeStart = d.u64()
+	m.RangeEnd = d.u64()
+	m.ViewNumber = d.u64()
+	m.Final = d.bool()
+	m.Records = d.records()
+	return m, d.err
 }
 
 // CheckpointResp is a server's answer to a MsgCheckpoint admin request.
@@ -493,46 +364,21 @@ func EncodeCheckpointReq() []byte {
 // EncodeCheckpointResp builds a MsgCheckpointResp frame.
 func EncodeCheckpointResp(r CheckpointResp) []byte {
 	dst := []byte{byte(MsgCheckpointResp)}
-	if r.OK {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, r.OK)
 	dst = appendU32(dst, r.Version)
 	dst = appendU64(dst, r.Tail)
-	dst = appendU16(dst, uint16(len(r.Err)))
-	dst = append(dst, r.Err...)
-	return dst
+	return appendString(dst, r.Err)
 }
 
 // DecodeCheckpointResp parses a MsgCheckpointResp frame.
 func DecodeCheckpointResp(buf []byte) (CheckpointResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgCheckpointResp)
 	var r CheckpointResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgCheckpointResp {
-		return r, fmt.Errorf("%w: checkpoint resp", ErrBadType)
-	}
-	ok, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	r.OK = ok != 0
-	if r.Version, err = d.u32(); err != nil {
-		return r, err
-	}
-	if r.Tail, err = d.u64(); err != nil {
-		return r, err
-	}
-	n, err := d.u16()
-	if err != nil {
-		return r, err
-	}
-	eb, err := d.bytes(int(n))
-	if err != nil {
-		return r, err
-	}
-	r.Err = string(eb)
-	return r, nil
+	r.OK = d.bool()
+	r.Version = d.u32()
+	r.Tail = d.u64()
+	r.Err = d.str()
+	return r, d.err
 }
 
 // CompactResp is a server's answer to a MsgCompact admin request: the
@@ -559,11 +405,7 @@ func EncodeCompactReq() []byte {
 // EncodeCompactResp builds a MsgCompactResp frame.
 func EncodeCompactResp(r CompactResp) []byte {
 	dst := []byte{byte(MsgCompactResp)}
-	if r.OK {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, r.OK)
 	dst = appendU64(dst, r.Scanned)
 	dst = appendU64(dst, r.Kept)
 	dst = appendU64(dst, r.Dropped)
@@ -571,39 +413,23 @@ func EncodeCompactResp(r CompactResp) []byte {
 	dst = appendU64(dst, r.Begin)
 	dst = appendU64(dst, r.ReclaimedBytes)
 	dst = appendU64(dst, r.TierReclaimed)
-	dst = appendU16(dst, uint16(len(r.Err)))
-	dst = append(dst, r.Err...)
-	return dst
+	return appendString(dst, r.Err)
 }
 
 // DecodeCompactResp parses a MsgCompactResp frame.
 func DecodeCompactResp(buf []byte) (CompactResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgCompactResp)
 	var r CompactResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgCompactResp {
-		return r, fmt.Errorf("%w: compact resp", ErrBadType)
-	}
-	ok, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	r.OK = ok != 0
-	for _, p := range []*uint64{&r.Scanned, &r.Kept, &r.Dropped, &r.Relocated,
-		&r.Begin, &r.ReclaimedBytes, &r.TierReclaimed} {
-		if *p, err = d.u64(); err != nil {
-			return r, err
-		}
-	}
-	n, err := d.u16()
-	if err != nil {
-		return r, err
-	}
-	eb, err := d.bytes(int(n))
-	if err != nil {
-		return r, err
-	}
-	r.Err = string(eb)
-	return r, nil
+	r.OK = d.bool()
+	r.Scanned = d.u64()
+	r.Kept = d.u64()
+	r.Dropped = d.u64()
+	r.Relocated = d.u64()
+	r.Begin = d.u64()
+	r.ReclaimedBytes = d.u64()
+	r.TierReclaimed = d.u64()
+	r.Err = d.str()
+	return r, d.err
 }
 
 // Range is a half-open hash interval inside a StatsResp (the wire twin of
@@ -673,14 +499,9 @@ func EncodeStatsReq() []byte {
 // EncodeStatsResp builds a MsgStatsResp frame.
 func EncodeStatsResp(r StatsResp) []byte {
 	dst := []byte{byte(MsgStatsResp)}
-	dst = appendU16(dst, uint16(len(r.ServerID)))
-	dst = append(dst, r.ServerID...)
+	dst = appendString(dst, r.ServerID)
 	dst = appendU64(dst, r.ViewNumber)
-	dst = appendU32(dst, uint32(len(r.Ranges)))
-	for _, rng := range r.Ranges {
-		dst = appendU64(dst, rng.Start)
-		dst = appendU64(dst, rng.End)
-	}
+	dst = appendRanges(dst, r.Ranges)
 	for _, v := range []uint64{
 		r.OpsCompleted, r.BatchesAccepted, r.BatchesRejected, r.DecodeErrors,
 		uint64(r.PendingOps), r.RemoteFetches, r.ViewRefreshes,
@@ -704,43 +525,16 @@ func EncodeStatsResp(r StatsResp) []byte {
 	return dst
 }
 
-// DecodeStatsResp parses a MsgStatsResp frame.
+// DecodeStatsResp parses a MsgStatsResp frame. A frame may end at either
+// tail-append boundary (before BatchesShed, before the PR 10 counters): the
+// absent fields decode as zero. A frame that ends inside a tail group is
+// short like any other.
 func DecodeStatsResp(buf []byte) (StatsResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgStatsResp)
 	var r StatsResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgStatsResp {
-		return r, fmt.Errorf("%w: stats resp", ErrBadType)
-	}
-	n, err := d.u16()
-	if err != nil {
-		return r, err
-	}
-	id, err := d.bytes(int(n))
-	if err != nil {
-		return r, err
-	}
-	r.ServerID = string(id)
-	if r.ViewNumber, err = d.u64(); err != nil {
-		return r, err
-	}
-	cnt, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each range encodes to 16 bytes; a count the remaining frame cannot
-	// hold is a corrupt or hostile frame, not an allocation request.
-	if uint64(cnt) > uint64(d.remaining())/16 {
-		return r, ErrShortFrame
-	}
-	r.Ranges = make([]Range, cnt)
-	for i := range r.Ranges {
-		if r.Ranges[i].Start, err = d.u64(); err != nil {
-			return r, err
-		}
-		if r.Ranges[i].End, err = d.u64(); err != nil {
-			return r, err
-		}
-	}
+	r.ServerID = d.str()
+	r.ViewNumber = d.u64()
+	r.Ranges = d.ranges()
 	var pend uint64
 	for _, p := range []*uint64{
 		&r.OpsCompleted, &r.BatchesAccepted, &r.BatchesRejected, &r.DecodeErrors,
@@ -750,43 +544,23 @@ func DecodeStatsResp(buf []byte) (StatsResp, error) {
 		&r.CompactReclaimedBytes, &r.StorePendingReads,
 		&r.LogBytes, &r.BalancePasses, &r.BalanceMigrations,
 	} {
-		if *p, err = d.u64(); err != nil {
-			return r, err
-		}
+		*p = d.u64()
 	}
 	r.PendingOps = int64(pend)
-	scnt, err := d.u32()
-	if err != nil {
-		return r, err
-	}
-	// Each sampled hash encodes to 8 bytes (count guard as above).
-	if uint64(scnt) > uint64(d.remaining())/8 {
-		return r, ErrShortFrame
-	}
-	if scnt > 0 {
-		r.HashSample = make([]uint64, scnt)
-	}
+	r.HashSample = make([]uint64, d.count(8))
 	for i := range r.HashSample {
-		if r.HashSample[i], err = d.u64(); err != nil {
-			return r, err
-		}
+		r.HashSample[i] = d.u64()
 	}
-	if d.remaining() >= 8 {
-		if r.BatchesShed, err = d.u64(); err != nil {
-			return r, err
-		}
+	if d.remaining() > 0 {
+		r.BatchesShed = d.u64()
 	}
-	for _, p := range []*uint64{
-		&r.PendingCoalesced, &r.ReadCacheHits, &r.ReadCacheCopies, &r.DeviceBatchReads,
-	} {
-		if d.remaining() < 8 {
-			break // older frame: tail fields absent
-		}
-		if *p, err = d.u64(); err != nil {
-			return r, err
-		}
+	if d.remaining() > 0 {
+		r.PendingCoalesced = d.u64()
+		r.ReadCacheHits = d.u64()
+		r.ReadCacheCopies = d.u64()
+		r.DeviceBatchReads = d.u64()
 	}
-	return r, nil
+	return r, d.err
 }
 
 // SessionRecover asks a recovered server where a client session's durable
@@ -806,58 +580,32 @@ type SessionRecoverResp struct {
 
 // EncodeSessionRecover builds a MsgSessionRecover frame.
 func EncodeSessionRecover(r SessionRecover) []byte {
-	dst := []byte{byte(MsgSessionRecover)}
-	dst = appendU64(dst, r.SessionID)
-	return dst
+	return appendU64([]byte{byte(MsgSessionRecover)}, r.SessionID)
 }
 
 // DecodeSessionRecover parses a MsgSessionRecover frame.
 func DecodeSessionRecover(buf []byte) (SessionRecover, error) {
-	d := decoder{buf: buf}
-	var r SessionRecover
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgSessionRecover {
-		return r, fmt.Errorf("%w: session recover", ErrBadType)
-	}
-	var err error
-	if r.SessionID, err = d.u64(); err != nil {
-		return r, err
-	}
-	return r, nil
+	d := open(buf, MsgSessionRecover)
+	r := SessionRecover{SessionID: d.u64()}
+	return r, d.err
 }
 
 // EncodeSessionRecoverResp builds a MsgSessionRecoverResp frame.
 func EncodeSessionRecoverResp(r SessionRecoverResp) []byte {
 	dst := []byte{byte(MsgSessionRecoverResp)}
 	dst = appendU64(dst, r.SessionID)
-	if r.Known {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = appendU32(dst, r.LastSeq)
-	return dst
+	dst = appendBool(dst, r.Known)
+	return appendU32(dst, r.LastSeq)
 }
 
 // DecodeSessionRecoverResp parses a MsgSessionRecoverResp frame.
 func DecodeSessionRecoverResp(buf []byte) (SessionRecoverResp, error) {
-	d := decoder{buf: buf}
+	d := open(buf, MsgSessionRecoverResp)
 	var r SessionRecoverResp
-	if t, err := d.u8(); err != nil || MsgType(t) != MsgSessionRecoverResp {
-		return r, fmt.Errorf("%w: session recover resp", ErrBadType)
-	}
-	var err error
-	if r.SessionID, err = d.u64(); err != nil {
-		return r, err
-	}
-	known, err := d.u8()
-	if err != nil {
-		return r, err
-	}
-	r.Known = known != 0
-	if r.LastSeq, err = d.u32(); err != nil {
-		return r, err
-	}
-	return r, nil
+	r.SessionID = d.u64()
+	r.Known = d.bool()
+	r.LastSeq = d.u32()
+	return r, d.err
 }
 
 // PeekType returns a frame's message type without decoding it.
@@ -866,70 +614,4 @@ func PeekType(buf []byte) (MsgType, error) {
 		return 0, ErrShortFrame
 	}
 	return MsgType(buf[0]), nil
-}
-
-// decoder is a bounds-checked little-endian reader.
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *decoder) u8() (uint8, error) {
-	if d.off+1 > len(d.buf) {
-		return 0, ErrShortFrame
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) u16() (uint16, error) {
-	if d.off+2 > len(d.buf) {
-		return 0, ErrShortFrame
-	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if d.off+4 > len(d.buf) {
-		return 0, ErrShortFrame
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.buf) {
-		return 0, ErrShortFrame
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.buf) {
-		return nil, ErrShortFrame
-	}
-	v := d.buf[d.off : d.off+n]
-	d.off += n
-	return v, nil
-}
-
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v), byte(v>>8))
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

@@ -427,3 +427,29 @@ func TestReleaseIdempotent(t *testing.T) {
 	f1.Release()
 	f2.Release()
 }
+
+// TestSetOversizedKeyFailsPromptly: a key longer than the wire's u16 length
+// prefix (65,535 bytes) is refused at issue time — Set returns an error
+// rather than hanging on a batch the server had to drop — and the client
+// keeps working.
+func TestSetOversizedKeyFailsPromptly(t *testing.T) {
+	cluster, _ := testCluster(t)
+	cl, err := Dial(cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	err = cl.Set(ctx, make([]byte, 1<<16), []byte("v"))
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Set with a 65,536-byte key = %v, want a prompt non-timeout error", err)
+	}
+	if err := cl.Set(ctx, []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("Set after the refused key: %v", err)
+	}
+	if v, err := cl.Get(ctx, []byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after the refused key = %q, %v", v, err)
+	}
+}
