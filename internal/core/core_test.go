@@ -231,6 +231,21 @@ func TestViewRejectionAndReissue(t *testing.T) {
 	}
 }
 
+// maxInFlight bounds a test client's outstanding operations below the
+// store's 4096 pending operations per session (faster.Config
+// MaxPendingPerSession): past that, device workers block on the session's
+// completion channel. It is still wider than one round of
+// migrateUnderWrites, so consecutive RMWs of one key do overlap on the
+// device.
+const maxInFlight = 3500
+
+// throttle polls until the client is back under maxInFlight.
+func throttle(ct *client.Thread) {
+	for ct.Outstanding() > maxInFlight {
+		ct.Poll()
+	}
+}
+
 // loadKeys writes n keys through a client and waits for them.
 func loadKeys(t *testing.T, ct *client.Thread, n uint64) {
 	t.Helper()
@@ -300,13 +315,40 @@ func TestMigrationAllInMemory(t *testing.T) {
 }
 
 func TestMigrationWritesDuringMigration(t *testing.T) {
+	migrateUnderWrites(t, 300, 0)
+}
+
+// TestMigrationWritesDuringMigrationLargerThanMemory is the same run with a
+// data set several times the 64 KiB budget of either server: the source
+// ships indirection records for its on-device chains, the target's log
+// spills while records are still arriving, and in-migration RMWs have to
+// wait on shared-tier fetches and probe the device — the real-protocol cover
+// for the path TestPendedRMWProbeOnDiskAppliesOnce pins white-box.
+func TestMigrationWritesDuringMigrationLargerThanMemory(t *testing.T) {
+	migrateUnderWrites(t, 3000, 1500)
+}
+
+// migrateUnderWrites loads n counters (plus fillers 128-byte values, for
+// bulk), migrates half the hash space while incrementing every counter, and
+// checks every counter exactly: no update lost or applied twice across the
+// ownership transfer.
+func migrateUnderWrites(t *testing.T, n, fillers uint64) {
 	cl := newCluster()
 	src := cl.newServer(t, "src", 2, metadata.FullRange)
-	cl.newServer(t, "dst", 2)
+	dst := cl.newServer(t, "dst", 2)
 	ct := cl.newClient(t)
 
-	const n = 300
 	loadKeys(t, ct, n)
+	filler := make([]byte, 128)
+	for i := uint64(0); i < fillers; i++ {
+		ct.Upsert(ycsb.KeyBytes(n+i), filler, nil)
+		if ct.Outstanding() > 1024 {
+			ct.Poll()
+		}
+	}
+	if !ct.Drain(30 * time.Second) {
+		t.Fatal("filler load did not drain")
+	}
 
 	rng := metadata.HashRange{Start: 0, End: 1 << 63}
 	if _, err := src.StartMigration("dst", rng); err != nil {
@@ -314,21 +356,29 @@ func TestMigrationWritesDuringMigration(t *testing.T) {
 	}
 	// Keep incrementing all keys while the migration runs.
 	const rounds = 5
+	failed := 0
 	for r := 0; r < rounds; r++ {
 		for i := uint64(0); i < n; i++ {
-			ct.RMW(ycsb.KeyBytes(i), d8(1000), nil)
-			if ct.Outstanding() > 1024 {
-				ct.Poll()
-			}
+			ct.RMW(ycsb.KeyBytes(i), d8(1000), func(st wire.ResultStatus, _ []byte) {
+				if st != wire.StatusOK {
+					failed++
+				}
+			})
+			throttle(ct)
 		}
 	}
 	if !ct.Drain(30 * time.Second) {
 		t.Fatalf("in-migration writes did not drain; outstanding=%d", ct.Outstanding())
 	}
 	waitMigrationsDone(t, cl.meta, 15*time.Second)
+	if failed != 0 {
+		t.Fatalf("%d in-migration RMWs failed", failed)
+	}
+	if fillers > 0 && dst.Store().Log().HeadAddress() == 0 {
+		t.Fatal("target log never spilled; larger-than-memory path not exercised")
+	}
 
-	// Every key must now be (i+1) + rounds*1000: no lost updates across the
-	// ownership transfer.
+	// Every key must now be (i+1) + rounds*1000.
 	bad := 0
 	for i := uint64(0); i < n; i++ {
 		want := (i + 1) + rounds*1000
@@ -337,10 +387,13 @@ func TestMigrationWritesDuringMigration(t *testing.T) {
 				bad++
 			}
 		})
+		if ct.Outstanding() > 1024 {
+			ct.Poll()
+		}
 	}
 	ct.Drain(30 * time.Second)
 	if bad != 0 {
-		t.Fatalf("%d keys lost updates across migration", bad)
+		t.Fatalf("%d keys lost or repeated updates across migration", bad)
 	}
 }
 

@@ -81,6 +81,8 @@ type sourceMigration struct {
 
 	sampleCut hlog.Address // tail at Sampling start
 
+	transferAcks atomic.Int64 // dispatchers past the Transfer boundary (ackTransfer)
+
 	cursor      atomic.Uint64 // bucket work-stealing cursor (Migrate phase)
 	threadsDone atomic.Int64
 	finishOnce  sync.Once
@@ -102,21 +104,11 @@ type targetMigration struct {
 	sourceID string
 
 	serving    atomic.Bool // true after TransferOwnership (sampled records in)
-	completed  atomic.Bool // true after CompleteMigration
+	completed  atomic.Bool // true once every shipped record is installed (finish)
 	finishOnce sync.Once
-}
-
-// pendedOp is a client operation waiting for its record to arrive (§3.3) or
-// for a shared-tier fetch to land (§3.3.2). Each dispatcher retries its own
-// pended operations, keeping everything thread-local.
-type pendedOp struct {
-	c         transport.Conn
-	sessionID uint64
-	op        wire.Op
-	// probing is set while a presence probe is in flight on storage; the
-	// retry loop skips the op until the probe's I/O drains. Written by a
-	// watcher goroutine, read by the dispatcher: atomic.
-	probing atomic.Bool
+	// fetches counts eager shared-tier chain fetches still installing
+	// records for this migration (fetchRangeFromSharedTier).
+	fetches atomic.Int64
 }
 
 // sourceState returns the active outbound migration, if any.
@@ -137,20 +129,6 @@ func (s *Server) targetSnapshot(buf []*targetMigration) []*targetMigration {
 	}
 	s.migMu.Unlock()
 	return buf
-}
-
-// targetCovering returns the not-yet-completed inbound migration whose
-// range contains h, or nil. Rare-path helper (I/O completions); the batch
-// hot path uses a per-batch targetSnapshot instead.
-func (s *Server) targetCovering(h uint64) *targetMigration {
-	s.migMu.Lock()
-	defer s.migMu.Unlock()
-	for _, tm := range s.targets {
-		if !tm.completed.Load() && tm.rng.Contains(h) {
-			return tm
-		}
-	}
-	return nil
 }
 
 // coveringTarget scans a snapshot for the not-yet-completed inbound
@@ -237,10 +215,12 @@ func (sm *sourceMigration) afterSamplingCut() {
 }
 
 // transfer moves the source into the new view (it stops serving the
-// migrating ranges) and, once the view-change cut completes, ships sampled
-// hot records with the TransferedOwnership RPC.
+// migrating ranges); once every dispatcher is past that boundary
+// (ackTransfer) afterViewCut ships sampled hot records with the
+// TransferedOwnership RPC. The view is stored before the phase, so a
+// dispatcher that sees Transfer validates its next batch against the new
+// view.
 func (sm *sourceMigration) transfer() {
-	sm.phase.Store(int32(phaseTransfer))
 	// Only move the view forward: a concurrent inbound migration may have
 	// already advanced this server past the view StartMigration returned.
 	if cur := sm.s.view.Load(); sm.newView.Number > cur.Number {
@@ -249,9 +229,29 @@ func (sm *sourceMigration) transfer() {
 	} else {
 		sm.s.refreshView()
 	}
-	sm.s.store.Epoch().BumpWithAction(func() {
+	sm.phase.Store(int32(phaseTransfer))
+}
+
+// ackTransfer takes dispatcher d across the ownership-transfer boundary, once
+// per migration: between batches, with the new view in force, it finishes
+// every write it accepted under the old view that is still parked on storage
+// I/O, then counts itself in; the last dispatcher starts afterViewCut. The
+// sampled-record scan and the Migrate-phase collection run behind that
+// count, so they see all of those writes — one landing later would never be
+// shipped, or be shipped behind an older sampled version that the target
+// keeps (ConditionalInsert is first-writer-wins). An epoch cut cannot stand
+// in for the count: hlog.Allocate refreshes the guard while it waits for a
+// frame, so under memory pressure a dispatcher crosses cuts mid-batch.
+func (d *dispatcher) ackTransfer(sm *sourceMigration) bool {
+	if d.migAckID == sm.mig.ID {
+		return false
+	}
+	d.sess.CompletePending(true)
+	d.migAckID = sm.mig.ID
+	if sm.transferAcks.Add(1) == int64(d.s.cfg.Threads) {
 		go sm.afterViewCut()
-	})
+	}
+	return true
 }
 
 func (sm *sourceMigration) afterViewCut() {
@@ -327,7 +327,12 @@ func (sm *sourceMigration) collectSampled() []wire.MigrationRecord {
 // processing; each thread works on independent hash table regions).
 func (s *Server) sourceMigrationStep(d *dispatcher) bool {
 	sm := s.sourceState()
-	if sm == nil || migPhase(sm.phase.Load()) != phaseMigrate {
+	if sm == nil {
+		return false
+	}
+	if phase := migPhase(sm.phase.Load()); phase == phaseTransfer {
+		return d.ackTransfer(sm)
+	} else if phase != phaseMigrate {
 		return false
 	}
 	ix := s.store.Index()
@@ -500,10 +505,7 @@ func (sm *sourceMigration) diskScan() {
 		return
 	}
 	defer conn.Close()
-	pageBits := uint(0)
-	for 1<<pageBits != lg.PageSize() {
-		pageBits++
-	}
+	pageBits := lg.PageBits()
 	endPage := lg.SafeHeadAddress().Page(pageBits)
 	buf := lg.NewPageBuffer()
 	var batch []wire.MigrationRecord
@@ -756,8 +758,13 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 				r := &m.Records[i]
 				if r.Flags&wire.RecFlagIndirection != 0 {
 					if d.sess.SpliceIndirection(r.Hash, r.Value) != faster.StatusOK {
-						// Fallback (§3.3.2): resolve the remote suffix eagerly.
-						s.fetchRangeFromSharedTier(r.Value)
+						// Fallback (§3.3.2): resolve the remote suffix eagerly —
+						// behind the chain's in-memory records, which precede
+						// its indirection record on this stream and may still
+						// be installing: ConditionalInsert keeps whichever
+						// version lands first, and the suffix is older.
+						d.sess.CompletePending(true)
+						tm.fetchRangeFromSharedTier(r.Value)
 					}
 				} else {
 					d.sess.ConditionalInsert(r.Key, r.Value, r.Flags&wire.RecFlagTombstone != 0, nil)
@@ -783,7 +790,6 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 		tm := s.ensureTargetMigration(m.MigrationID, m.SourceID,
 			metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd})
 		if tm != nil {
-			tm.completed.Store(true)
 			tm.finishOnce.Do(func() { go tm.finish() }) //shadowfax:ignore epochblock the once body only spawns a goroutine; whichever dispatcher wins runs it inline and returns immediately
 		}
 
@@ -832,11 +838,18 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 	}
 }
 
-// finish runs the target's completion: it waits for the pending set to
-// drain (all records have arrived, so every pended op is now decidable),
-// takes the asynchronous checkpoint, and marks the target side done.
+// finish runs the target's completion. CompleteMigration follows the acks
+// of every record stream, so all that can still be installing records are
+// the eager chain fetches those streams started; only when they are done is
+// a miss in the range authoritative (completed). Then it waits for the
+// pending set to drain (every pended op is now decidable), takes the
+// asynchronous checkpoint, and marks the target side done.
 func (tm *targetMigration) finish() {
 	s := tm.s
+	for tm.fetches.Load() > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	tm.completed.Store(true)
 	for s.stats.PendingOps.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -851,108 +864,22 @@ func (tm *targetMigration) finish() {
 	s.meta.MarkMigrationDone(tm.migID, s.cfg.ID)
 }
 
-// targetMigrationStep retries this dispatcher's pended operations; it also
-// runs after migrations for operations pending on shared-tier fetches.
+// targetMigrationStep retries this dispatcher's waiting operations (see
+// srvOp); it also runs after migrations, for operations waiting on
+// shared-tier fetches. A retried slot that must keep waiting re-appends its
+// token behind the n being walked.
 func (s *Server) targetMigrationStep(d *dispatcher) bool {
-	if len(d.pending) == 0 {
+	n := len(d.waiting)
+	if n == 0 {
 		return false
 	}
 	d.tmSnap = s.targetSnapshot(d.tmSnap)
-	progress := false
-	kept := d.pending[:0]
-	for _, p := range d.pending {
-		if p.probing.Load() {
-			kept = append(kept, p)
-			continue
-		}
-		tm := coveringTarget(d.tmSnap, faster.HashOf(p.op.Key))
-		if tm != nil && !tm.serving.Load() {
-			kept = append(kept, p) // ownership transfer not done yet
-			continue
-		}
-		if d.retryPended(p, tm) {
-			progress = true
-			s.stats.PendingOps.Add(-1)
-		} else {
-			kept = append(kept, p)
-		}
+	for i := 0; i < n; i++ {
+		d.startOp(uint64(d.waiting[i]))
+		s.stats.PendingOps.Add(-1)
 	}
-	d.pending = kept
-	return progress
-}
-
-// retryPended re-executes one pended operation; returns true when it
-// completed (result queued on the connection).
-func (d *dispatcher) retryPended(p *pendedOp, tm *targetMigration) bool {
-	migrating := tm != nil && !tm.completed.Load() &&
-		tm.rng.Contains(faster.HashOf(p.op.Key))
-
-	finish := func(st faster.Status, v []byte) {
-		res := wire.Result{Seq: p.op.Seq, Status: toWireStatus(st)}
-		if st == faster.StatusOK && v != nil {
-			res.Value = append([]byte(nil), v...)
-		}
-		d.deferred[p.c] = append(d.deferred[p.c], res)
-	}
-
-	var done bool
-	st := d.sess.Read(p.op.Key, func(st faster.Status, v []byte) {
-		switch st {
-		case faster.StatusOK:
-			if p.op.Kind == wire.OpRMW {
-				d.sess.RMW(p.op.Key, p.op.Value, func(st2 faster.Status, _ []byte) {
-					finish(st2, nil)
-				})
-			} else {
-				finish(faster.StatusOK, v)
-			}
-			done = true
-		case faster.StatusNotFound:
-			if migrating {
-				return // record still in flight; keep pending
-			}
-			if p.op.Kind == wire.OpRMW {
-				// Absence is now final: apply the initial-value RMW.
-				d.sess.RMW(p.op.Key, p.op.Value, func(st2 faster.Status, _ []byte) {
-					finish(st2, nil)
-				})
-			} else {
-				finish(faster.StatusNotFound, nil)
-			}
-			done = true
-		case faster.StatusIndirection:
-			// Chain defers to the shared tier; kick a fetch and stay
-			// pended until it lands.
-			d.s.fetchFromSharedTier(p.op.Key, v)
-		}
-	})
-	if st == faster.StatusPending {
-		// The probe itself went to storage; mark the op probing so the
-		// retry loop skips it until the probe's I/O drains.
-		p.probing.Store(true)
-		pp := p
-		go func() {
-			for d.sess.Pending() > 0 {
-				time.Sleep(200 * time.Microsecond)
-			}
-			pp.probing.Store(false)
-		}()
-		return false
-	}
-	return done
-}
-
-// pendOp copies and parks an operation on the owning dispatcher.
-func (s *Server) pendOp(c transport.Conn, d *dispatcher, sessionID uint64, op *wire.Op) {
-	cop := wire.Op{Kind: op.Kind, Seq: op.Seq,
-		Key:   append([]byte(nil), op.Key...),
-		Value: append([]byte(nil), op.Value...)}
-	s.pendOpStruct(c, d, sessionID, &cop)
-}
-
-func (s *Server) pendOpStruct(c transport.Conn, d *dispatcher, sessionID uint64, op *wire.Op) {
-	d.pending = append(d.pending, &pendedOp{c: c, sessionID: sessionID, op: *op}) //shadowfax:ignore hotpathalloc a pended op must outlive the batch that carried it; one heap copy per pend is the cost of the sample-and-pend protocol
-	s.stats.PendingOps.Add(1)
+	d.waiting = d.waiting[:copy(d.waiting, d.waiting[n:])]
+	return len(d.waiting) < n
 }
 
 // ---------------------------------------------------------------------------
@@ -999,13 +926,17 @@ func (s *Server) fetchFromSharedTier(key []byte, payload []byte) {
 }
 
 // fetchRangeFromSharedTier eagerly pulls an entire remote chain suffix in;
-// the fallback when an indirection record cannot be spliced locally.
-func (s *Server) fetchRangeFromSharedTier(payload []byte) {
+// the fallback when an indirection record cannot be spliced locally. The
+// migration does not complete until the suffix is installed (finish).
+func (tm *targetMigration) fetchRangeFromSharedTier(payload []byte) {
 	p, ok := hlog.DecodeIndirection(payload)
 	if !ok {
 		return
 	}
+	s := tm.s
+	tm.fetches.Add(1)
 	go func() {
+		defer tm.fetches.Add(-1)
 		s.stats.RemoteFetches.Add(1)
 		sess := s.fetchSession()
 		defer s.releaseFetchSession(sess)
@@ -1013,10 +944,7 @@ func (s *Server) fetchRangeFromSharedTier(payload []byte) {
 		if tier == nil {
 			return
 		}
-		pageBits := uint(0)
-		for 1<<pageBits != s.store.Log().PageSize() {
-			pageBits++
-		}
+		pageBits := s.store.Log().PageBits()
 		logID, addr := p.LogID, p.NextAddress
 		for addr != hlog.InvalidAddress {
 			rec, err := hlog.ReadRecordFromTier(tier, logID, pageBits, addr, 512)
@@ -1050,10 +978,7 @@ func (s *Server) walkRemoteChain(p hlog.IndirectionPayload, key []byte) (value [
 	if tier == nil {
 		return nil, false, false
 	}
-	pageBits := uint(0)
-	for 1<<pageBits != s.store.Log().PageSize() {
-		pageBits++
-	}
+	pageBits := s.store.Log().PageBits()
 	logID, addr := p.LogID, p.NextAddress
 	for addr != hlog.InvalidAddress {
 		rec, err := hlog.ReadRecordFromTier(tier, logID, pageBits, addr, 512+len(key))

@@ -725,10 +725,9 @@ func (s *Server) refreshView() metadata.View {
 // FASTER session and private connections.
 //
 // The normal-operation path is allocation-free: per-op state for operations
-// that leave the inline path lives in a pooled slot array (ops/freeOps,
-// addressed by the token passed into the store's hash entry points), inline
-// read values are copied into a per-batch arena (valArena), and every
-// request/response buffer is reused.
+// that leave the inline path lives in a pooled slot array (ops/freeOps, see
+// srvOp), inline read values are copied into a per-batch arena (valArena),
+// and every request/response buffer is reused.
 type dispatcher struct {
 	s        *Server
 	idx      int
@@ -749,11 +748,14 @@ type dispatcher struct {
 	// never written again), so a plain append arena suffices.
 	valArena []byte
 
-	// ops is the pooled per-op state for operations parked on pending
-	// storage I/O; freeOps holds the recycled slot indices. The slot index
-	// is the completion token handed to the store session.
+	// ops is the pooled per-op state of every client Read/RMW in flight;
+	// freeOps holds the recycled slot indices and waiting the tokens parked
+	// on a migration or a shared-tier fetch (§3.3; each dispatcher retries
+	// its own, keeping everything thread-local). The slot index is the
+	// completion token handed to the store session. Life cycle: see srvOp.
 	ops     []srvOp
 	freeOps []uint32
+	waiting []uint32
 
 	// dirty tracks the coalescing conns (transport.BatchedSender) that
 	// buffered frames this poll iteration; only these are flushed, so idle
@@ -764,23 +766,21 @@ type dispatcher struct {
 	// answered (pending I/O, migration pends); flushed each loop.
 	deferred map[transport.Conn][]wire.Result
 
-	// pending holds this dispatcher's parked operations (§3.3).
-	pending []*pendedOp
-
 	// tmSnap is the reused per-batch snapshot of inbound migrations, so the
 	// hot path never allocates to consult them.
 	tmSnap []*targetMigration
 
-	// Outbound migration state (Migrate phase). migConn is dialed per
-	// migration (migConnID says which — ids start at 1): reusing a
-	// connection across migrations would ship a later migration's records
-	// to the previous target. migDoneID records which migration this
-	// dispatcher already finished collecting for, so a later outbound
-	// migration starts with a clean slate instead of inheriting a stale
-	// done flag.
+	// Outbound migration state. migConn is dialed per migration (migConnID
+	// says which — ids start at 1): reusing a connection across migrations
+	// would ship a later migration's records to the previous target.
+	// migAckID and migDoneID record which migration this dispatcher already
+	// crossed the transfer boundary for (ackTransfer) and finished
+	// collecting for, so a later outbound migration starts with a clean
+	// slate instead of inheriting a stale flag.
 	migBatch  []wire.MigrationRecord
 	migConn   transport.Conn
 	migConnID uint64
+	migAckID  uint64
 	migDoneID uint64
 
 	// Load accounting: a ring of sampled op hashes (see ctlplane.go).
@@ -801,17 +801,44 @@ type dispatcher struct {
 	heldPerConn map[transport.Conn]int
 }
 
-// srvOp is the dispatcher-side state of one client operation that went
-// pending inside the store (storage I/O). Slots are pooled and their
-// key/input buffers reused, so parking an operation allocates nothing at
-// steady state.
+// srvOp is the dispatcher-side state of one client Read or RMW, from the
+// claim in execOp until its result is emitted — the only place such an
+// operation lives when it cannot finish inline. Slots are pooled and their
+// buffers reused, so parking an operation allocates nothing at steady state.
+//
+// A slot is in exactly one of four states:
+//
+//   - free: its index is on freeOps.
+//   - running: the dispatcher is inside startOp/stepOp for it, because
+//     execOp just claimed it, targetMigrationStep took it off the wait list,
+//     or the session's CompletionHandler delivered it. Only here may
+//     key/input still alias the batch frame.
+//   - stored: the store answered StatusPending and holds the slot's token
+//     until its I/O finishes; only the CompletionHandler moves it on.
+//   - waiting: its token is on dispatcher.waiting, counted in
+//     Stats().PendingOps: ownership of its range has not transferred yet,
+//     its record has not arrived, or a shared-tier fetch is in flight. Only
+//     targetMigrationStep moves it on.
+//
+// startOp issues the slot's store operation and stepOp alone decides, from
+// the status that comes back, which state follows running. A slot is never
+// in two states, so nothing can run an operation a second time while an
+// earlier issue of it is still in the store. Refer to slots by token: claimOp
+// may grow the pool, so never hold a *srvOp across a claim.
 type srvOp struct {
-	c         transport.Conn
-	sessionID uint64
-	seq       uint32
-	kind      wire.OpKind
-	key       []byte
-	input     []byte
+	c    transport.Conn
+	seq  uint32
+	kind wire.OpKind
+	hash uint64
+	// inMig: the current store op was issued while an inbound migration
+	// covered hash, so a miss is not authoritative. probe: that store op is
+	// the presence Read of an RMW, not the RMW itself.
+	inMig, probe bool
+	// key/input alias the batch frame until the op first parks (owned), then
+	// keyBuf/inputBuf — the inline path never copies them.
+	owned            bool
+	key, input       []byte
+	keyBuf, inputBuf []byte
 }
 
 func newDispatcher(s *Server, idx int) *dispatcher {
@@ -824,7 +851,9 @@ func newDispatcher(s *Server, idx int) *dispatcher {
 	}
 	// One handler closure per dispatcher, for the lifetime of the session —
 	// the per-op completion state travels as a pooled-slot token instead.
-	d.sess.SetCompletionHandler(d.completePending)
+	// Completions run on the dispatcher goroutine inside CompletePending,
+	// after the issuing batch was answered, so their results are deferred.
+	d.sess.SetCompletionHandler(d.stepOp)
 	// The dispatcher refreshes once per loop iteration (a batch boundary);
 	// mid-batch guard crossings would let a replication/checkpoint cut
 	// drain while this session still stamps the sealed version, racing the
@@ -833,10 +862,8 @@ func newDispatcher(s *Server, idx int) *dispatcher {
 	return d
 }
 
-// claimOp takes a pooled slot for an operation about to be issued and
-// returns its token. Key/input are captured only if the operation actually
-// goes pending (captureOp) — the inline path never copies them.
-func (d *dispatcher) claimOp(c transport.Conn, sessionID uint64, seq uint32, kind wire.OpKind) uint64 {
+// claimOp takes a free slot for op (hash h) and returns its token.
+func (d *dispatcher) claimOp(c transport.Conn, op *wire.Op, h uint64) uint64 {
 	var idx uint32
 	if n := len(d.freeOps); n > 0 {
 		idx = d.freeOps[n-1]
@@ -846,17 +873,21 @@ func (d *dispatcher) claimOp(c transport.Conn, sessionID uint64, seq uint32, kin
 		idx = uint32(len(d.ops) - 1)
 	}
 	so := &d.ops[idx]
-	so.c, so.sessionID, so.seq, so.kind = c, sessionID, seq, kind
+	so.c, so.seq, so.kind, so.hash = c, op.Seq, op.Kind, h
+	so.key, so.input, so.owned = op.Key, op.Value, false
 	return uint64(idx)
 }
 
-// captureOp copies the operation's key and input into the slot's reused
-// buffers; called while the batch frame is still live, right after the
-// store reported StatusPending.
-func (d *dispatcher) captureOp(tok uint64, key, input []byte) {
-	so := &d.ops[tok]
-	so.key = append(so.key[:0], key...)
-	so.input = append(so.input[:0], input...)
+// captureOp moves the slot's key and input off the batch frame into its
+// reused buffers; called while the frame is still live, the first time the
+// op leaves the running state without finishing.
+func (so *srvOp) captureOp() {
+	if so.owned {
+		return
+	}
+	so.keyBuf = append(so.keyBuf[:0], so.key...)
+	so.inputBuf = append(so.inputBuf[:0], so.input...)
+	so.key, so.input, so.owned = so.keyBuf, so.inputBuf, true
 }
 
 // srvOpBufKeep is the largest key/input capacity a recycled slot retains
@@ -866,45 +897,83 @@ const srvOpBufKeep = 8 << 10
 
 func (d *dispatcher) releaseOp(tok uint64) {
 	so := &d.ops[tok]
-	so.c = nil
-	if cap(so.key) > srvOpBufKeep {
-		so.key = nil
+	so.c, so.key, so.input = nil, nil, nil
+	if cap(so.keyBuf) > srvOpBufKeep {
+		so.keyBuf = nil
 	}
-	if cap(so.input) > srvOpBufKeep {
-		so.input = nil
+	if cap(so.inputBuf) > srvOpBufKeep {
+		so.inputBuf = nil
 	}
 	d.freeOps = append(d.freeOps, uint32(tok))
 }
 
-// completePending is the session's CompletionHandler: it receives results
-// for operations that went pending on storage I/O, keyed by their pooled
-// slot. It runs on the dispatcher goroutine inside CompletePending, so the
-// batch that issued the op has already been answered — results are deferred
-// onto the conn (shipped in a later response frame keyed by Seq).
-func (d *dispatcher) completePending(tok uint64, st faster.Status, v []byte) {
+// waitOp puts a running slot on the wait list.
+func (d *dispatcher) waitOp(tok uint64) {
+	d.ops[tok].captureOp()
+	d.waiting = append(d.waiting, uint32(tok))
+	d.s.stats.PendingOps.Add(1)
+}
+
+// startOp issues a running slot's store operation — the first time from
+// execOp, every retry from targetMigrationStep — and hands the outcome to
+// stepOp. Reads and RMWs can observe not-yet-migrated state during an
+// inbound migration (§3.3): before ownership transfer they wait outright;
+// after it a miss in the migrating range waits until the record arrives, so
+// an RMW there probes for presence first — blindly applying the initial
+// value would race the record still in flight from the source. In-flight
+// ranges are disjoint, so at most one migration in d.tmSnap covers the hash.
+func (d *dispatcher) startOp(tok uint64) {
 	so := &d.ops[tok]
-	c, sessionID, seq, kind := so.c, so.sessionID, so.seq, so.kind
-	key, input := so.key, so.input
+	tm := coveringTarget(d.tmSnap, so.hash)
+	if tm != nil && !tm.serving.Load() {
+		d.waitOp(tok)
+		return
+	}
+	so.inMig = tm != nil
+	so.probe = so.inMig && so.kind == wire.OpRMW
+	var st faster.Status
+	var v []byte
+	if so.kind == wire.OpRMW && !so.probe {
+		st, v = d.sess.RMWHash(so.key, so.input, so.hash, tok)
+	} else {
+		st, v = d.sess.ReadHash(so.key, so.hash, tok)
+	}
+	d.stepOp(tok, st, v)
+}
+
+// stepOp decides a running slot's next state (see srvOp) from the status the
+// store reported for its current store operation: inline, from startOp, or
+// once its storage I/O finished, as the session's CompletionHandler.
+func (d *dispatcher) stepOp(tok uint64, st faster.Status, v []byte) {
+	so := &d.ops[tok]
 	switch st {
+	case faster.StatusPending:
+		// Stored: the completion re-enters here.
+		so.captureOp()
+		return
 	case faster.StatusIndirection:
 		// The key's chain continues in another server's shared-tier log
-		// (§3.3.2): fetch asynchronously and pend the operation.
-		d.s.fetchFromSharedTier(key, v)
-		op := wire.Op{Kind: kind, Seq: seq, Key: key, Value: input}
-		d.s.pendOp(c, d, sessionID, &op) // pendOp copies out of the slot
+		// (§3.3.2): fetch asynchronously and wait for the record to land.
+		d.s.fetchFromSharedTier(so.key, v)
+		d.waitOp(tok)
+		return
 	case faster.StatusNotFound:
-		if kind == wire.OpRead {
-			if tm := d.s.targetCovering(faster.HashOf(key)); tm != nil {
-				// The record may simply not have arrived yet.
-				op := wire.Op{Kind: kind, Seq: seq, Key: key}
-				d.s.pendOp(c, d, sessionID, &op)
-				break
-			}
+		if so.inMig {
+			// The record may not have arrived yet — or arrived while this
+			// read was on the device, even if the migration has completed
+			// since. The retry re-reads and re-judges inMig.
+			d.waitOp(tok)
+			return
 		}
-		d.emit(c, seq, st, nil)
-	default:
-		d.emit(c, seq, st, v)
+	case faster.StatusOK:
+		if so.probe {
+			so.probe = false
+			st, v = d.sess.RMWHash(so.key, so.input, so.hash, tok)
+			d.stepOp(tok, st, v)
+			return
+		}
 	}
+	d.emit(so.c, so.seq, st, v)
 	d.releaseOp(tok)
 }
 
@@ -1162,7 +1231,7 @@ func (d *dispatcher) handleRequestBatch(c transport.Conn, frame []byte) {
 	d.assembling = true
 	d.tmSnap = d.s.targetSnapshot(d.tmSnap)
 	for i := range b.Ops {
-		d.execOp(c, b.SessionID, &b.Ops[i], d.tmSnap)
+		d.execOp(c, &b.Ops[i])
 	}
 	d.assembling = false
 	// Record the session's high-water sequence before acknowledging, tagged
@@ -1259,110 +1328,25 @@ func (d *dispatcher) flushConns() {
 
 // execOp runs one client operation against the shared store. Results that
 // complete inline land in d.results (values backed by the batch arena);
-// async completions (storage I/O via the pooled-slot token, migration
-// pends) are deferred and shipped in later response frames keyed by Seq.
+// operations that park (see srvOp) are answered in later response frames
+// keyed by Seq.
 //
 // The key's hash is computed exactly once, here, and shared between the
 // migration-range check and the store's hash entry points. Nothing is
 // copied on the inline path: keys alias the batch frame, which outlives the
-// batch; only operations that park (pending I/O, migration) promote their
-// key/input into owned buffers.
-func (d *dispatcher) execOp(c transport.Conn, sessionID uint64, op *wire.Op, tms []*targetMigration) {
+// batch; only operations that park promote their key/input into owned
+// buffers. Upserts and deletes never park.
+func (d *dispatcher) execOp(c transport.Conn, op *wire.Op) {
 	h := faster.HashOf(op.Key)
 	d.recordLoad(h)
 	switch op.Kind {
 	case wire.OpUpsert:
 		d.emitInline(op.Seq, d.sess.UpsertHash(op.Key, op.Value, h), nil)
-		return
 	case wire.OpDelete:
 		d.emitInline(op.Seq, d.sess.DeleteHash(op.Key, h), nil)
-		return
-	}
-
-	// Reads and RMWs can observe not-yet-migrated state during an inbound
-	// migration (§3.3): before ownership transfer they pend outright; after
-	// it, a miss in the migrating range pends until the record arrives.
-	// In-flight ranges are disjoint, so at most one migration covers h.
-	inMig := false
-	if tm := coveringTarget(tms, h); tm != nil {
-		if !tm.serving.Load() {
-			d.s.pendOp(c, d, sessionID, op)
-			return
-		}
-		inMig = true
-	}
-
-	if op.Kind == wire.OpRMW {
-		if inMig {
-			// Migration slow path: the probe/pend machinery owns its
-			// buffers, so copy off the batch frame.
-			key := append([]byte(nil), op.Key...)
-			input := append([]byte(nil), op.Value...)
-			d.probeRMW(c, sessionID, op.Seq, key, input)
-			return
-		}
-		tok := d.claimOp(c, sessionID, op.Seq, wire.OpRMW)
-		st, v := d.sess.RMWHash(op.Key, op.Value, h, tok)
-		if st == faster.StatusPending {
-			d.captureOp(tok, op.Key, op.Value)
-			return
-		}
-		d.releaseOp(tok)
-		if st == faster.StatusIndirection {
-			d.s.fetchFromSharedTier(op.Key, v)
-			d.s.pendOp(c, d, sessionID, op)
-			return
-		}
-		d.emitInline(op.Seq, st, nil)
-		return
-	}
-
-	tok := d.claimOp(c, sessionID, op.Seq, wire.OpRead)
-	st, v := d.sess.ReadHash(op.Key, h, tok)
-	if st == faster.StatusPending {
-		d.captureOp(tok, op.Key, nil)
-		return
-	}
-	d.releaseOp(tok)
-	switch st {
-	case faster.StatusIndirection:
-		// The key's chain continues in another server's shared-tier log
-		// (§3.3.2): fetch asynchronously and pend the operation.
-		d.s.fetchFromSharedTier(op.Key, v)
-		d.s.pendOp(c, d, sessionID, op)
-	case faster.StatusNotFound:
-		if inMig {
-			// The record may simply not have arrived yet.
-			d.s.pendOp(c, d, sessionID, op)
-			return
-		}
-		d.emitInline(op.Seq, st, nil)
 	default:
-		d.emitInline(op.Seq, st, v)
+		d.startOp(d.claimOp(c, op, h))
 	}
-}
-
-// probeRMW handles an RMW in a migrating range: blindly applying the
-// initial value would race the record still in flight from the source, so
-// presence is probed first and absence pends.
-func (d *dispatcher) probeRMW(c transport.Conn, sessionID uint64, seq uint32, key, input []byte) {
-	d.sess.Read(key, func(st faster.Status, v []byte) { //shadowfax:ignore hotpathalloc probeRMW runs only for RMWs landing in a migrating range; the probe closure is off the steady-state path
-		switch st {
-		case faster.StatusOK:
-			d.sess.RMW(key, input, func(st2 faster.Status, _ []byte) { //shadowfax:ignore hotpathalloc migrating-range RMW only; see the probe closure above
-				d.emit(c, seq, st2, nil)
-			})
-		case faster.StatusNotFound:
-			d.s.pendOpStruct(c, d, sessionID,
-				&wire.Op{Kind: wire.OpRMW, Seq: seq, Key: key, Value: input}) //shadowfax:ignore hotpathalloc the pended op must outlive this batch; migrating-range path only
-		case faster.StatusIndirection:
-			d.s.fetchFromSharedTier(key, v)
-			d.s.pendOpStruct(c, d, sessionID,
-				&wire.Op{Kind: wire.OpRMW, Seq: seq, Key: key, Value: input}) //shadowfax:ignore hotpathalloc the pended op must outlive this batch; migrating-range path only
-		default:
-			d.emit(c, seq, st, nil)
-		}
-	})
 }
 
 // emitInline appends an inline result to the in-flight batch response. Read

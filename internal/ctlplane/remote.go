@@ -304,42 +304,40 @@ func (p *RemoteProvider) refresh() bool {
 	return true
 }
 
+// metaErrs pairs every metadata sentinel with its wire error class. The
+// server side walks it sentinel → class (fillMetaErr), the client side class
+// → sentinel (metaError), so errors.Is works across the wire; an error
+// matching no row travels as MetaErrOther with its text only.
+var metaErrs = [...]struct {
+	code     wire.MetaErr
+	sentinel error
+}{
+	{wire.MetaErrUnknownServer, metadata.ErrUnknownServer},
+	{wire.MetaErrNotOwner, metadata.ErrNotOwner},
+	{wire.MetaErrOverlap, metadata.ErrOverlap},
+	{wire.MetaErrUnknownMigration, metadata.ErrUnknownMigration},
+	{wire.MetaErrMigrationDone, metadata.ErrMigrationDone},
+	{wire.MetaErrMigrationOverlap, metadata.ErrMigrationOverlap},
+	{wire.MetaErrDeposed, metadata.ErrDeposed},
+	{wire.MetaErrReplicated, metadata.ErrReplicated},
+	{wire.MetaErrNoReplica, metadata.ErrNoReplica},
+	{wire.MetaErrReplicaNotSynced, metadata.ErrReplicaNotSynced},
+	{wire.MetaErrServerNotEmpty, metadata.ErrServerNotEmpty},
+	{wire.MetaErrPrimaryAlive, metadata.ErrPrimaryAlive},
+}
+
 // metaError rebuilds the metadata package's sentinel errors from a
-// response's error class, so errors.Is works across the wire.
+// response's error class.
 func metaError(resp *wire.MetaResp) error {
 	if resp.OK {
 		return nil
 	}
-	var sentinel error
-	switch resp.ErrCode {
-	case wire.MetaErrUnknownServer:
-		sentinel = metadata.ErrUnknownServer
-	case wire.MetaErrNotOwner:
-		sentinel = metadata.ErrNotOwner
-	case wire.MetaErrOverlap:
-		sentinel = metadata.ErrOverlap
-	case wire.MetaErrUnknownMigration:
-		sentinel = metadata.ErrUnknownMigration
-	case wire.MetaErrMigrationDone:
-		sentinel = metadata.ErrMigrationDone
-	case wire.MetaErrMigrationOverlap:
-		sentinel = metadata.ErrMigrationOverlap
-	case wire.MetaErrDeposed:
-		sentinel = metadata.ErrDeposed
-	case wire.MetaErrReplicated:
-		sentinel = metadata.ErrReplicated
-	case wire.MetaErrNoReplica:
-		sentinel = metadata.ErrNoReplica
-	case wire.MetaErrReplicaNotSynced:
-		sentinel = metadata.ErrReplicaNotSynced
-	case wire.MetaErrServerNotEmpty:
-		sentinel = metadata.ErrServerNotEmpty
-	case wire.MetaErrPrimaryAlive:
-		sentinel = metadata.ErrPrimaryAlive
-	default:
-		return errors.New(resp.Err)
+	for _, e := range metaErrs {
+		if e.code == resp.ErrCode {
+			return fmt.Errorf("%w (remote: %s)", e.sentinel, resp.Err)
+		}
 	}
-	return fmt.Errorf("%w (remote: %s)", sentinel, resp.Err)
+	return errors.New(resp.Err)
 }
 
 // --- metadata.Provider implementation -------------------------------------
@@ -808,32 +806,11 @@ func fillMetaErr(resp *wire.MetaResp, err error) {
 	}
 	resp.OK = false
 	resp.Err = err.Error()
-	switch {
-	case errors.Is(err, metadata.ErrUnknownServer):
-		resp.ErrCode = wire.MetaErrUnknownServer
-	case errors.Is(err, metadata.ErrNotOwner):
-		resp.ErrCode = wire.MetaErrNotOwner
-	case errors.Is(err, metadata.ErrOverlap):
-		resp.ErrCode = wire.MetaErrOverlap
-	case errors.Is(err, metadata.ErrUnknownMigration):
-		resp.ErrCode = wire.MetaErrUnknownMigration
-	case errors.Is(err, metadata.ErrMigrationDone):
-		resp.ErrCode = wire.MetaErrMigrationDone
-	case errors.Is(err, metadata.ErrMigrationOverlap):
-		resp.ErrCode = wire.MetaErrMigrationOverlap
-	case errors.Is(err, metadata.ErrDeposed):
-		resp.ErrCode = wire.MetaErrDeposed
-	case errors.Is(err, metadata.ErrReplicated):
-		resp.ErrCode = wire.MetaErrReplicated
-	case errors.Is(err, metadata.ErrNoReplica):
-		resp.ErrCode = wire.MetaErrNoReplica
-	case errors.Is(err, metadata.ErrReplicaNotSynced):
-		resp.ErrCode = wire.MetaErrReplicaNotSynced
-	case errors.Is(err, metadata.ErrServerNotEmpty):
-		resp.ErrCode = wire.MetaErrServerNotEmpty
-	case errors.Is(err, metadata.ErrPrimaryAlive):
-		resp.ErrCode = wire.MetaErrPrimaryAlive
-	default:
-		resp.ErrCode = wire.MetaErrOther
+	resp.ErrCode = wire.MetaErrOther
+	for _, e := range metaErrs {
+		if errors.Is(err, e.sentinel) {
+			resp.ErrCode = e.code
+			return
+		}
 	}
 }

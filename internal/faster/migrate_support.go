@@ -16,6 +16,10 @@ import (
 // StatusPending if the decision needs a storage read of the chain.
 func (sess *Session) ConditionalInsert(key, value []byte, tombstone bool, cb Callback) Status {
 	sess.maybeRefresh()
+	if sess.s.tooBig(key, value) {
+		invoke(cb, StatusError, nil)
+		return StatusError
+	}
 	hash := HashOf(key)
 	slot := sess.s.index.FindOrCreateEntry(hash)
 	for {
@@ -69,9 +73,11 @@ func (sess *Session) condAppend(res walkResult, key, value []byte, tombstone boo
 // SpliceIndirection appends an indirection record (§3.3.2) and links it at
 // the *tail* of the hash chain selected by repHash, so lookups consult all
 // local records before deferring to the remote suffix. payload is the
-// encoded IndirectionPayload. Returns StatusError if the local chain itself
-// descends below the head address (splicing would need storage writes; the
-// caller falls back to eager fetching).
+// encoded IndirectionPayload. Returns StatusError if the local chain's last
+// record is outside the mutable region — on storage, or in a page already
+// handed to the flusher, whose device image would not carry the link and
+// would end the chain there once the page is evicted (splicing would need
+// storage writes; the caller falls back to eager fetching).
 func (sess *Session) SpliceIndirection(repHash uint64, payload []byte) Status {
 	sess.maybeRefresh()
 	slot := sess.s.index.FindOrCreateEntry(repHash)
@@ -96,6 +102,7 @@ func (sess *Session) SpliceIndirection(repHash uint64, payload []byte) Status {
 		// Walk to the chain's last in-memory record and hook the new
 		// record beneath it.
 		head := sess.s.log.HeadAddress()
+		readOnly := sess.s.log.ReadOnlyAddress()
 		addr := entry.Address()
 		for {
 			if addr < head {
@@ -105,6 +112,9 @@ func (sess *Session) SpliceIndirection(repHash uint64, payload []byte) Status {
 			m := rec.Meta()
 			prev := m.Previous()
 			if prev == hlog.InvalidAddress {
+				if addr < readOnly {
+					return StatusError // the link would not reach storage
+				}
 				if rec.CASMeta(m, m.WithPrevious(indAddr)) {
 					return StatusOK
 				}

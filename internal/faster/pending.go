@@ -27,6 +27,7 @@ type pendingOp struct {
 	key   []byte
 	hash  uint64
 	addr  hlog.Address // next chain address to read from the device
+	start hlog.Address // addr at issue: where the chain entered storage then
 	input []byte       // RMW input / conditional-insert value
 	meta  hlog.Meta    // conditional-insert record flags
 	comp  completion
@@ -64,7 +65,7 @@ func (sess *Session) newPendingOp(kind opKind, key, input []byte, hash uint64,
 	p.key = append(p.key[:0], key...)
 	p.input = append(p.input[:0], input...)
 	p.hash = hash
-	p.addr = addr
+	p.addr, p.start = addr, addr
 	p.meta = 0
 	p.comp = comp
 	return p
@@ -172,11 +173,10 @@ func (sess *Session) resume(p *pendingOp) {
 			}
 
 		case opRMW:
-			// The chain may have gained an in-memory version while the read
-			// was in flight; prefer memory (it is strictly newer).
+			// The chain may have gained a version while the read was in
+			// flight; start over from it (it is strictly newer).
 			slot := sess.s.index.FindOrCreateEntry(p.hash)
-			res := sess.walkMemory(slot, p.key, p.hash)
-			if res.status != walkBelowHead {
+			if !sess.chainUnchanged(p, sess.walkMemory(slot, p.key, p.hash)) {
 				st, v := sess.rmwFrom(slot, p.key, p.hash, p.input, p.comp)
 				sess.finishOrRelease(p, st, v)
 				return
@@ -245,11 +245,13 @@ func (sess *Session) follow(p *pendingOp, m hlog.Meta) followResult {
 		prev < sess.s.fenceBelow(p.hash) {
 		return followEnd
 	}
+	cur := p.addr
 	p.addr = prev
-	if ent := p.ent; ent != nil && uint64(prev) >= ent.pos {
+	if ent := p.ent; ent != nil && uint64(prev) >= ent.pos && prev < cur {
 		// Records are laid out sequentially within a page, so a same-span
 		// predecessor is always complete: [prev, prev+size) ends at or
-		// before the record just examined.
+		// before the record just examined. (prev > cur happens too: a
+		// spliced indirection record sits above the record it hangs under.)
 		rec, _, err := hlog.ParseSpanRecord(ent.buf, int(uint64(prev)-ent.pos), prev, sess.s.log.PageBits())
 		if err == nil && rec != nil {
 			p.rec = rec
@@ -264,6 +266,16 @@ func (sess *Session) follow(p *pendingOp, m hlog.Meta) followResult {
 	return followIssued
 }
 
+// chainUnchanged reports whether res, a fresh memory walk for p's key, still
+// runs off the end of memory at the address p started reading from — that
+// is, nothing was linked into the chain since p was issued. Comparing the
+// address matters: a version installed after p was issued may itself be
+// below the head address by now, and a walk that merely ends below head
+// again would let p overwrite it with a value computed from its predecessor.
+func (sess *Session) chainUnchanged(p *pendingOp, res walkResult) bool {
+	return res.status == walkBelowHead && res.addr == p.start
+}
+
 // finishRMWWithValue applies the RMW against the storage-resident value (nil
 // when absent) and appends the result, retrying against memory if the chain
 // head moved. Like rmwFrom it returns the terminal status instead of
@@ -275,11 +287,14 @@ func (sess *Session) finishRMWWithValue(p *pendingOp, old []byte) (Status, []byt
 	} else {
 		newVal = sess.s.rmw.Apply(old, p.input)
 	}
+	if sess.s.tooBig(p.key, newVal) {
+		return StatusError, nil
+	}
 	slot := sess.s.index.FindOrCreateEntry(p.hash)
 	for {
 		res := sess.walkMemory(slot, p.key, p.hash)
-		if res.status != walkBelowHead {
-			// Memory changed while we worked: recompute from memory.
+		if !sess.chainUnchanged(p, res) {
+			// The chain changed while we worked: recompute from its head.
 			return sess.rmwFrom(slot, p.key, p.hash, p.input, p.comp)
 		}
 		if sess.appendRMW(res, p.key, newVal) {
@@ -308,9 +323,17 @@ func (sess *Session) finishCondInsert(p *pendingOp) {
 				return
 			}
 		case walkBelowHead:
-			// The chain gained new storage-resident links (eviction moved
-			// head); re-verifying from storage would loop, and a young
-			// target log has already been checked: install.
+			if res.addr != p.start {
+				// The chain gained storage-resident links since p was issued
+				// (a client write that has been evicted already, or eviction
+				// moved head past in-memory links): they may hold a newer
+				// version of the key, so check the chain again from there.
+				p.addr, p.start, p.rec = res.addr, res.addr, nil
+				sess.releaseEntry(p.ent)
+				p.ent = nil
+				sess.enqueueRead(p)
+				return
+			}
 			fallthrough
 		case walkNotFound:
 			if sess.condAppend(res, p.key, p.input, p.meta.Tombstone()) {

@@ -364,6 +364,9 @@ func (sess *Session) Upsert(key, value []byte, cb Callback) Status {
 func (sess *Session) UpsertHash(key, value []byte, hash uint64) Status {
 	sess.maybeRefresh()
 	sess.s.stats.Upserts.Add(1)
+	if sess.s.tooBig(key, value) {
+		return StatusError
+	}
 	slot := sess.s.index.FindOrCreateEntry(hash)
 	for {
 		res := sess.walkMemory(slot, key, hash)
@@ -401,6 +404,9 @@ func (sess *Session) Delete(key []byte, cb Callback) Status {
 func (sess *Session) DeleteHash(key []byte, hash uint64) Status {
 	sess.maybeRefresh()
 	sess.s.stats.Deletes.Add(1)
+	if sess.s.tooBig(key, nil) {
+		return StatusError
+	}
 	slot := sess.s.index.FindOrCreateEntry(hash)
 	for {
 		res := sess.walkMemory(slot, key, hash)
@@ -447,6 +453,8 @@ func (sess *Session) RMWHash(key, input []byte, hash uint64, token uint64) (Stat
 func (sess *Session) rmwFrom(slot hashidx.Slot, key []byte, hash uint64, input []byte, comp completion) (Status, []byte) {
 	for {
 		res := sess.walkMemory(slot, key, hash)
+		var newVal []byte
+		sampling := false
 		switch res.status {
 		case walkFound:
 			// During Sampling (§3.3) updates to matching records go through
@@ -455,7 +463,7 @@ func (sess *Session) rmwFrom(slot hashidx.Slot, key []byte, hash uint64, input [
 			// Prior-version records likewise go through the copy path (CPR:
 			// an in-place RMW on a pre-cut record would be invisible to the
 			// version filter recovery applies).
-			sampling := sess.samplerMatch(hash, res.addr)
+			sampling = sess.samplerMatch(hash, res.addr)
 			if !sampling && res.mutable &&
 				hlog.SameVersion(res.rec.Meta().Version(), sess.ver) &&
 				sess.s.rmw.TryInPlace(res.rec, input) {
@@ -463,23 +471,24 @@ func (sess *Session) rmwFrom(slot hashidx.Slot, key []byte, hash uint64, input [
 				return StatusOK, nil
 			}
 			// Copy-on-write from the current value.
-			old := res.rec.ReadValueStable(nil)
-			if sess.appendRMW(res, key, sess.s.rmw.Apply(old, input)) {
-				if sampling {
-					sess.s.stats.SampledCopies.Add(1)
-				}
-				return StatusOK, nil
-			}
+			newVal = sess.s.rmw.Apply(res.rec.ReadValueStable(nil), input)
 		case walkTombstone, walkNotFound:
-			if sess.appendRMW(res, key, sess.s.rmw.Initial(input)) {
-				return StatusOK, nil
-			}
+			newVal = sess.s.rmw.Initial(input)
 		case walkIndirection:
 			sess.valBuf = res.rec.ReadValueStable(sess.valBuf)
 			return StatusIndirection, sess.valBuf
 		case walkBelowHead:
 			sess.enqueueRead(sess.newPendingOp(opRMW, key, input, hash, res.addr, comp))
 			return StatusPending, nil
+		}
+		if sess.s.tooBig(key, newVal) {
+			return StatusError, nil
+		}
+		if sess.appendRMW(res, key, newVal) {
+			if sampling {
+				sess.s.stats.SampledCopies.Add(1)
+			}
+			return StatusOK, nil
 		}
 	}
 }

@@ -261,6 +261,14 @@ func (s *Store) CutPending() bool { return s.cutsPending.Load() != 0 }
 // Stats returns the store's counters.
 func (s *Store) Stats() *StoreStats { return &s.stats }
 
+// tooBig reports whether a record for key and value could never be
+// appended: a record does not span log pages. The write entry points refuse
+// such a record with StatusError before their append loops, which take a
+// failed append to mean "re-walk and retry" and would spin on it forever.
+func (s *Store) tooBig(key, value []byte) bool {
+	return hlog.RecordSize(len(key), len(value)) > s.log.PageSize()
+}
+
 // HashOf returns the key hash used for indexing and hash-range partitioning.
 func HashOf(key []byte) uint64 { return hashfn.Hash(key) }
 

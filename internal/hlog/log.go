@@ -339,6 +339,9 @@ func (l *Log) shiftReadOnly(target uint64) {
 // observed it (so no reader dereferences the evicted prefix), allows
 // eviction up to min(target, flushedUntil).
 func (l *Log) shiftHead(target uint64) {
+	if fu := l.flushedUntil.Load(); target > fu {
+		target = fu
+	}
 	if !casMax(&l.head, target) {
 		return
 	}

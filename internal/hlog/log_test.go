@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -612,5 +613,63 @@ func TestPlanRecordRead(t *testing.T) {
 			t.Errorf("case %d: got (%d,%d,%d), want (%d,%d,%d)",
 				i, off, n, recOff, c.off, c.n, c.recOff)
 		}
+	}
+}
+
+// TestHeadNeverPassesFlushedFrontier: readers treat every address below
+// HeadAddress as device-resident, so the head intent may not run ahead of
+// what the flusher has written. With a slow device it would, for as long as
+// an allocation waits for its frame, and a chain walk on another thread would
+// read a page the device does not hold yet.
+func TestHeadNeverPassesFlushedFrontier(t *testing.T) {
+	em := epoch.NewManager()
+	dev := storage.NewMemDevice(storage.LatencyModel{WriteLatency: 2 * time.Millisecond}, 1)
+	l, err := New(Config{PageBits: 12, MemPages: 8, MutablePages: 4,
+		Device: dev, Epoch: em, LogID: "slow-flush"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close(); dev.Close() })
+
+	stop := make(chan struct{})
+	var ahead atomic.Uint64 // worst head - flushedUntil seen
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Head first: both only grow, so a frontier read second that
+			// covers it covered it all along.
+			head, fu := l.HeadAddress(), l.FlushedUntilAddress()
+			if head > fu && uint64(head-fu) > ahead.Load() {
+				ahead.Store(uint64(head - fu))
+			}
+		}
+	}()
+
+	g := em.Register()
+	key, val := []byte("key"), make([]byte, 200)
+	sz := RecordSize(len(key), len(val))
+	for i := 0; i < 40*4096/sz; i++ { // forty pages through eight frames
+		_, buf, err := l.Allocate(g, sz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WriteRecord(buf, NewMeta(InvalidAddress, 0, false, false), key, val)
+		g.Refresh()
+	}
+	g.Unregister()
+	close(stop)
+	wg.Wait()
+	if l.HeadAddress() == 0 {
+		t.Fatal("log never spilled")
+	}
+	if n := ahead.Load(); n != 0 {
+		t.Fatalf("head ran %d bytes past the flushed frontier", n)
 	}
 }

@@ -453,3 +453,45 @@ func TestSetOversizedKeyFailsPromptly(t *testing.T) {
 		t.Fatalf("Get after the refused key = %q, %v", v, err)
 	}
 }
+
+// TestOversizedRecordFailsPromptly: a record that cannot fit one log page
+// (here 4 KiB) is refused by the store with an error status instead of
+// wedging the dispatcher in an append-retry loop — the op fails, the next op
+// on the same client succeeds, and the server still closes.
+func TestOversizedRecordFailsPromptly(t *testing.T) {
+	cluster, srv := testCluster(t)
+	cl, err := Dial(cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	big := make([]byte, 5000)
+	if err := cl.Set(ctx, []byte("k"), big); !errors.Is(err, ErrInternal) {
+		t.Fatalf("Set of a 5,000-byte value on 4 KiB pages = %v, want ErrInternal", err)
+	}
+	if err := cl.RMW(ctx, big, []byte{1, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrInternal) {
+		t.Fatalf("RMW on a 5,000-byte key on 4 KiB pages = %v, want ErrInternal", err)
+	}
+	if err := cl.Delete(ctx, big); !errors.Is(err, ErrInternal) {
+		t.Fatalf("Delete of a 5,000-byte key on 4 KiB pages = %v, want ErrInternal", err)
+	}
+	if err := cl.Set(ctx, []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("Set after the refused records: %v", err)
+	}
+	if v, err := cl.Get(ctx, []byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after the refused records = %q, %v", v, err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return")
+	}
+}
