@@ -86,11 +86,10 @@ func (s *Server) Compact() (CompactStats, error) {
 	view := s.view.Load()
 	rel := newRelocator(s)
 
-	sess := s.compactSession()
 	lg := s.store.Log()
-	st, end, cerr := sess.CompactScan(lg.SafeHeadAddress(),
+	st, end, cerr := s.compactAux.acquire(s.store).CompactScan(lg.SafeHeadAddress(),
 		func(hash uint64) bool { return view.Owns(hash) }, rel.add)
-	s.releaseCompactSession(sess)
+	s.compactAux.release()
 
 	out := CompactStats{CompactStats: st, Begin: lg.BeginAddress()}
 	if cerr != nil {
@@ -220,27 +219,6 @@ func (s *Server) compactLoop(every time.Duration, watermark uint64) {
 	}
 }
 
-// compactSession hands out the server's dedicated compaction session (the
-// Session.Compact contract requires exclusivity, which compactMu provides).
-// The guard sits suspended between passes — an idle registered guard would
-// stall every global cut.
-func (s *Server) compactSession() *faster.Session {
-	if s.compactSess == nil {
-		s.compactSess = s.store.NewSession()
-	} else {
-		s.compactSess.Guard().Resume()
-	}
-	// Adopt the current CPR version: the session sits suspended across
-	// checkpoints and its copied-forward records must not carry a stale stamp.
-	s.compactSess.Refresh()
-	return s.compactSess
-}
-
-func (s *Server) releaseCompactSession(sess *faster.Session) {
-	sess.CompletePending(true)
-	sess.Guard().Suspend()
-}
-
 // handleCompactReq serves the MsgCompact admin message; the pass runs on its
 // own goroutine so the dispatcher keeps polling (and crossing epoch cuts).
 func (s *Server) handleCompactReq(c transport.Conn) {
@@ -264,13 +242,13 @@ func (s *Server) handleCompactReq(c transport.Conn) {
 	}()
 }
 
-// relocator batches disowned records per current owner and ships them as
+// relocator buffers disowned records per current owner and ships them as
 // MsgCompacted frames — the send side of §3.3.3's record relocation. Lookups
 // go through the metadata store's current ownership map (the server's own
 // view no longer covers these hashes, by definition).
 type relocator struct {
 	s       *Server
-	batches map[string][]wire.MigrationRecord
+	pending map[string][]faster.CollectedRecord
 	conns   map[string]transport.Conn
 	sent    map[string]int // MsgCompacted frames awaiting MsgAck, per owner
 	// failed is set on any undeliverable record or frame (owner unresolved,
@@ -281,7 +259,7 @@ type relocator struct {
 func newRelocator(s *Server) *relocator {
 	return &relocator{
 		s:       s,
-		batches: make(map[string][]wire.MigrationRecord),
+		pending: make(map[string][]faster.CollectedRecord),
 		conns:   make(map[string]transport.Conn),
 		sent:    make(map[string]int),
 	}
@@ -308,48 +286,39 @@ func (r *relocator) add(rec faster.CollectedRecord) bool {
 		r.failed = true
 		return false
 	}
-	var flags uint8
-	if rec.Tombstone {
-		flags |= wire.RecFlagTombstone
-	}
-	r.batches[owner] = append(r.batches[owner], wire.MigrationRecord{
-		Hash: rec.Hash, Flags: flags, Key: rec.Key, Value: rec.Value,
-	})
+	r.pending[owner] = append(r.pending[owner], rec)
 	return true
 }
 
-// flush ships owner's buffered records in MigrationBatchRecords-sized
-// MsgCompacted frames on a (cached) connection.
-func (r *relocator) flush(owner string) {
-	batch := r.batches[owner]
-	r.batches[owner] = nil
-	for len(batch) > 0 && !r.failed {
-		n := r.s.cfg.MigrationBatchRecords
-		if n > len(batch) {
-			n = len(batch)
-		}
-		c, ok := r.conns[owner]
-		if !ok {
-			addr, err := r.s.meta.ServerAddr(owner)
-			if err != nil {
-				r.failed = true
-				return
-			}
-			if c, err = r.s.cfg.Transport.Dial(addr); err != nil {
-				r.failed = true
-				return
-			}
-			r.conns[owner] = c
-		}
-		msg := wire.MigrationMsg{Type: wire.MsgCompacted, SourceID: r.s.cfg.ID,
-			Records: batch[:n]}
-		if c.Send(wire.EncodeMigrationMsg(&msg)) != nil {
-			r.failed = true
-			return
-		}
-		r.sent[owner]++
-		batch = batch[n:]
+// ship sends owner's buffered records as MsgCompacted frames; the first
+// undeliverable frame fails the pass and stops the rest.
+func (r *relocator) ship(owner string, recs []faster.CollectedRecord) {
+	out := recordBatch{max: frameRecords, send: func(frame []wire.MigrationRecord, _ bool) bool {
+		r.failed = r.failed || !r.sendCompacted(owner, frame)
+		return !r.failed
+	}}
+	for _, rec := range recs {
+		out.add(rec)
 	}
+	out.flush(false)
+	r.sent[owner] = out.frames
+}
+
+// sendCompacted ships one MsgCompacted frame on owner's (cached) connection.
+func (r *relocator) sendCompacted(owner string, recs []wire.MigrationRecord) bool {
+	c, ok := r.conns[owner]
+	if !ok {
+		addr, err := r.s.meta.ServerAddr(owner)
+		if err != nil {
+			return false
+		}
+		if c, err = r.s.cfg.Transport.Dial(addr); err != nil {
+			return false
+		}
+		r.conns[owner] = c
+	}
+	msg := wire.MigrationMsg{Type: wire.MsgCompacted, SourceID: r.s.cfg.ID, Records: recs}
+	return c.Send(wire.EncodeMigrationMsg(&msg)) == nil
 }
 
 // finish ships every buffered batch and waits for the owners to acknowledge
@@ -363,10 +332,8 @@ func (r *relocator) flush(owner string) {
 // compacted prefix on true. Must run with the compaction session's guard
 // suspended.
 func (r *relocator) finish(timeout time.Duration) bool {
-	if !r.failed {
-		for owner := range r.batches {
-			r.flush(owner)
-		}
+	for owner, recs := range r.pending {
+		r.ship(owner, recs)
 	}
 	pending := make(map[string]transport.Conn)
 	for owner, c := range r.conns {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -254,72 +253,41 @@ func (d *dispatcher) ackTransfer(sm *sourceMigration) bool {
 	return true
 }
 
+// sampleLimit caps the sampled hot records shipped at ownership transfer.
+const sampleLimit = 4096
+
 func (sm *sourceMigration) afterViewCut() {
 	s := sm.s
-	// Collect the hot records accumulated above the sampling cut.
-	var sampled []wire.MigrationRecord
+	// The TransferedOwnership RPC is one frame (the target starts serving the
+	// range on it), so its batch is sized to the whole sample.
+	out := recordBatch{max: sampleLimit, send: func(recs []wire.MigrationRecord, _ bool) bool {
+		sm.reportMu.Lock()
+		sm.report.OwnershipAt = time.Now()
+		sm.report.SampledRecords = len(recs)
+		sm.reportMu.Unlock()
+		s.sendMigrationMsg(sm.tgtAddr, &wire.MigrationMsg{
+			Type: wire.MsgTransferOwnership, MigrationID: sm.mig.ID,
+			SourceID: s.cfg.ID, RangeStart: sm.rng.Start, RangeEnd: sm.rng.End,
+			ViewNumber: sm.newView.Number, Records: recs,
+		})
+		return true
+	}}
 	if !s.cfg.DisableSampling {
-		sampled = sm.collectSampled()
+		// The hot records accumulated above the sampling cut.
+		sess := s.fetchAux.acquire(s.store)
+		sess.CollectSampled(sm.sampleCut, sm.rng.Start, sm.rng.End, sampleLimit,
+			func(rec faster.CollectedRecord) { out.add(rec) })
+		s.fetchAux.release()
 	}
 	s.store.SetSampleFilter(nil)
-	sm.reportMu.Lock()
-	sm.report.OwnershipAt = time.Now()
-	sm.report.SampledRecords = len(sampled)
-	sm.reportMu.Unlock()
-
-	s.sendMigrationMsg(sm.tgtAddr, &wire.MigrationMsg{
-		Type: wire.MsgTransferOwnership, MigrationID: sm.mig.ID,
-		SourceID: s.cfg.ID, RangeStart: sm.rng.Start, RangeEnd: sm.rng.End,
-		ViewNumber: sm.newView.Number, Records: sampled,
-	})
+	out.flush(true)
 	// Migrate phase: dispatchers pick up collection work from the cursor.
 	sm.phase.Store(int32(phaseMigrate))
 }
 
-// collectSampled scans [sampleCut, tail) for the newest versions of keys in
-// the migrating range, bounded by SampleLimit.
-func (sm *sourceMigration) collectSampled() []wire.MigrationRecord {
-	s := sm.s
-	sess := s.fetchSession()
-	defer s.releaseFetchSession(sess)
-	seen := make(map[string]struct{})
-	var out []wire.MigrationRecord
-	lg := s.store.Log()
-	// Scan newest-first is not possible (log order is oldest-first), so
-	// collect all candidates keeping the last (newest) version per key.
-	newest := make(map[string]wire.MigrationRecord)
-	lg.ScanMemory(sm.sampleCut, lg.TailAddress(), func(addr hlog.Address, r hlog.Record) bool {
-		m := r.Meta()
-		if m.Invalid() || m.Indirection() {
-			return true
-		}
-		h := faster.HashOf(r.Key())
-		if !sm.rng.Contains(h) {
-			return true
-		}
-		var flags uint8
-		if m.Tombstone() {
-			flags |= wire.RecFlagTombstone
-		}
-		newest[string(r.Key())] = wire.MigrationRecord{
-			Hash: h, Flags: flags,
-			Key:   append([]byte(nil), r.Key()...),
-			Value: r.ReadValueStable(nil),
-		}
-		return true
-	})
-	for k, rec := range newest {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, rec)
-		if len(out) >= s.cfg.SampleLimit {
-			break
-		}
-	}
-	return out
-}
+// migrationChunkBuckets is the unit of work a thread claims from the hash
+// table while collecting records (interleaved with request processing).
+const migrationChunkBuckets = 256
 
 // sourceMigrationStep performs one unit of Migrate-phase work on dispatcher
 // d: claim a chunk of hash-table buckets, collect chains, ship a batch.
@@ -337,13 +305,13 @@ func (s *Server) sourceMigrationStep(d *dispatcher) bool {
 	}
 	ix := s.store.Index()
 	n := ix.NumBuckets()
-	chunk := uint64(s.cfg.MigrationChunkBuckets)
-	b0 := sm.cursor.Add(chunk) - chunk
+	out := d.migrationBatch(sm)
+	b0 := sm.cursor.Add(migrationChunkBuckets) - migrationChunkBuckets
 	if b0 >= n {
 		// Collection finished; flush this thread's remainder and count it
 		// done exactly once per thread.
 		if d.migDoneID != sm.mig.ID {
-			d.flushMigrationBatch(sm, true)
+			out.flush(true)
 			d.migDoneID = sm.mig.ID
 			if sm.threadsDone.Add(1) == int64(s.cfg.Threads) {
 				sm.finishOnce.Do(func() { go sm.afterCollection() }) //shadowfax:ignore epochblock the once body only spawns a goroutine; the last dispatcher to arrive runs it inline and returns immediately
@@ -352,7 +320,7 @@ func (s *Server) sourceMigrationStep(d *dispatcher) bool {
 		}
 		return false
 	}
-	end := b0 + chunk
+	end := b0 + migrationChunkBuckets
 	if end > n {
 		end = n
 	}
@@ -367,66 +335,53 @@ func (s *Server) sourceMigrationStep(d *dispatcher) bool {
 	ix.ForEachEntryInBuckets(b0, end, func(bucket uint64, slot faster.IndexSlot) bool {
 		d.sess.CollectChain(bucket, slot, sm.rng.Start, sm.rng.End,
 			useIndirections, seen, func(rec faster.CollectedRecord) {
-				d.addMigrationRecord(sm, rec)
+				sm.recordsSent.Add(1)
+				sm.bytesFromMemory.Add(uint64(16 + len(rec.Key) + len(rec.Value)))
+				if rec.Indirection {
+					sm.indirections.Add(1)
+				}
+				out.add(rec)
 			})
 		return true
 	})
-	d.flushMigrationBatchIfFull(sm)
 	return true
 }
 
-// addMigrationRecord buffers one collected record for shipment.
-func (d *dispatcher) addMigrationRecord(sm *sourceMigration, rec faster.CollectedRecord) {
-	var flags uint8
-	if rec.Tombstone {
-		flags |= wire.RecFlagTombstone
-	}
-	if rec.Indirection {
-		flags |= wire.RecFlagIndirection
-		sm.indirections.Add(1)
-	}
-	d.migBatch = append(d.migBatch, wire.MigrationRecord{
-		Hash: rec.Hash, Flags: flags, Key: rec.Key, Value: rec.Value,
-	})
-	sm.recordsSent.Add(1)
-	sm.bytesFromMemory.Add(uint64(16 + len(rec.Key) + len(rec.Value)))
-}
-
-func (d *dispatcher) flushMigrationBatchIfFull(sm *sourceMigration) {
-	if len(d.migBatch) >= d.s.cfg.MigrationBatchRecords {
-		d.flushMigrationBatch(sm, false)
-	}
-}
-
-// flushMigrationBatch ships the thread's buffered records on its private
-// session to the target (parallel migration, §3.3).
-func (d *dispatcher) flushMigrationBatch(sm *sourceMigration, final bool) {
-	if len(d.migBatch) == 0 && !final {
-		return
-	}
-	if d.migConn != nil && d.migConnID != sm.mig.ID {
-		// Leftover connection from an earlier migration — possibly to a
-		// different target. Records sent on it would install on the wrong
-		// server and silently vanish from this migration.
-		d.migConn.Close()
-		d.migConn = nil
-	}
-	if d.migConn == nil {
-		c, err := d.s.cfg.Transport.Dial(sm.tgtAddr)
-		if err != nil {
-			d.migBatch = d.migBatch[:0]
-			return
+// migrationBatch returns this dispatcher's outbound record batch for sm, set
+// up on the dispatcher's first use in each migration: its frames travel the
+// thread's private connection to the target (parallel migration, §3.3),
+// dialed per migration — records sent on a connection left over from an
+// earlier migration, possibly to a different target, would install on the
+// wrong server and silently vanish from this one.
+func (d *dispatcher) migrationBatch(sm *sourceMigration) *recordBatch {
+	if d.migConnID != sm.mig.ID {
+		if d.migConn != nil {
+			d.migConn.Close()
+			d.migConn = nil
 		}
-		d.migConn = c
 		d.migConnID = sm.mig.ID
+		d.migOut = recordBatch{max: frameRecords, send: func(recs []wire.MigrationRecord, final bool) bool {
+			if d.migConn == nil {
+				c, err := d.s.cfg.Transport.Dial(sm.tgtAddr)
+				if err != nil {
+					return false // the next frame dials again
+				}
+				d.migConn = c
+			}
+			return sm.sendRecords(d.migConn, recs, final)
+		}}
 	}
+	return &d.migOut
+}
+
+// sendRecords ships one MsgMigrationRecords frame of this migration on c.
+func (sm *sourceMigration) sendRecords(c transport.Conn, recs []wire.MigrationRecord, final bool) bool {
 	msg := wire.MigrationMsg{
 		Type: wire.MsgMigrationRecords, MigrationID: sm.mig.ID,
-		SourceID: d.s.cfg.ID, RangeStart: sm.rng.Start, RangeEnd: sm.rng.End,
-		Final: final, Records: d.migBatch,
+		SourceID: sm.s.cfg.ID, RangeStart: sm.rng.Start, RangeEnd: sm.rng.End,
+		Final: final, Records: recs,
 	}
-	d.migConn.Send(wire.EncodeMigrationMsg(&msg))
-	d.migBatch = d.migBatch[:0]
+	return c.Send(wire.EncodeMigrationMsg(&msg)) == nil
 }
 
 // afterCollection runs once every thread finished the Migrate phase: the
@@ -488,89 +443,33 @@ func awaitAck(conn transport.Conn, deadline time.Time) {
 }
 
 // diskScan is the second phase for sources that cannot leave indirection
-// records behind (the Rocksteady baseline, or a Shadowfax node with no
-// shared tier): a single thread scans the stable region on the local SSD
-// and ships live records in the migrating range (§4.1, Figure 10(c)).
-//
-// The target installs with ConditionalInsert, which is first-writer-wins —
-// so records must arrive newest-first or a key whose only versions are on
-// disk would be resurrected at its oldest value. Pages are read in
-// descending address order and each page's records are emitted in reverse,
-// making the whole stream strictly newest-first.
+// records behind (the Rocksteady baseline, or a Shadowfax node with no shared
+// tier): a single thread ships the live records of the migrating range from
+// the stable region on the local SSD, newest first (Store.CollectStable).
 func (sm *sourceMigration) diskScan() {
-	s := sm.s
-	lg := s.store.Log()
-	conn, err := s.cfg.Transport.Dial(sm.tgtAddr)
+	conn, err := sm.s.cfg.Transport.Dial(sm.tgtAddr)
 	if err != nil {
 		return
 	}
 	defer conn.Close()
-	pageBits := lg.PageBits()
-	endPage := lg.SafeHeadAddress().Page(pageBits)
-	buf := lg.NewPageBuffer()
-	var batch []wire.MigrationRecord
-	flush := func(final bool) {
-		if len(batch) == 0 && !final {
-			return
-		}
-		msg := wire.MigrationMsg{
-			Type: wire.MsgMigrationRecords, MigrationID: sm.mig.ID,
-			SourceID: s.cfg.ID, RangeStart: sm.rng.Start, RangeEnd: sm.rng.End,
-			Final: final, Records: batch,
-		}
-		conn.Send(wire.EncodeMigrationMsg(&msg))
-		batch = batch[:0]
-	}
-	beginPage := lg.BeginAddress().Page(pageBits)
-	var pageRecs []wire.MigrationRecord
-	for p := endPage; p > beginPage; p-- {
-		page := p - 1
-		if err := lg.ReadPageFromDevice(page, buf); err != nil {
-			continue
-		}
-		pageRecs = pageRecs[:0]
-		hlog.ScanPageBuffer(hlog.Address(page<<pageBits), buf, func(addr hlog.Address, r hlog.Record) bool {
-			m := r.Meta()
-			if m.Invalid() || m.Indirection() {
-				return true
-			}
-			h := faster.HashOf(r.Key())
-			if !sm.rng.Contains(h) {
-				return true
-			}
-			if addr < s.store.FenceBelow(h) {
-				// Retired leftover from an earlier tenancy of the range
-				// (same filter CollectChain applies in the memory pass).
-				return true
-			}
-			var flags uint8
-			if m.Tombstone() {
-				flags |= wire.RecFlagTombstone
-			}
-			pageRecs = append(pageRecs, wire.MigrationRecord{
-				Hash: h, Flags: flags,
-				Key:   append([]byte(nil), r.Key()...),
-				Value: append([]byte(nil), r.Value()...),
-			})
-			sm.diskScanRecords.Add(1)
-			return true
-		})
-		for i := len(pageRecs) - 1; i >= 0; i-- {
-			batch = append(batch, pageRecs[i])
-			if len(batch) >= s.cfg.MigrationBatchRecords {
-				flush(false)
-			}
-		}
-	}
-	flush(true)
+	out := recordBatch{max: frameRecords, send: func(recs []wire.MigrationRecord, final bool) bool {
+		return sm.sendRecords(conn, recs, final)
+	}}
+	sm.s.store.CollectStable(sm.rng.Start, sm.rng.End, func(rec faster.CollectedRecord) {
+		sm.diskScanRecords.Add(1)
+		out.add(rec)
+	})
+	out.flush(true)
 	// Same ordering requirement as the dispatchers' record streams: the
 	// final frame must be acked before complete() may run.
 	awaitAck(conn, time.Now().Add(migrationAckTimeout))
 }
 
-// complete sends CompleteMigration, takes the source's asynchronous
-// checkpoint, marks the source side done in the metadata store, and returns
-// the server to normal operation (§3.3 Complete).
+// complete sends CompleteMigration, takes the source's checkpoint — the
+// ordinary durable one, when a checkpoint device is configured; a memory-only
+// server has nothing to make durable and takes none — marks the source side
+// done in the metadata store, and returns the server to normal operation
+// (§3.3 Complete).
 func (sm *sourceMigration) complete() {
 	s := sm.s
 	sm.phase.Store(int32(phaseComplete))
@@ -578,10 +477,9 @@ func (sm *sourceMigration) complete() {
 		Type: wire.MsgCompleteMigration, MigrationID: sm.mig.ID,
 		SourceID: s.cfg.ID, RangeStart: sm.rng.Start, RangeEnd: sm.rng.End,
 	})
-	var ckpt bytes.Buffer
-	done := make(chan struct{})
-	s.store.Checkpoint(&ckpt, func(faster.CheckpointInfo, error) { close(done) })
-	<-done
+	if s.images != nil {
+		s.Checkpoint() //nolint:errcheck // failures are counted inside; the side is marked done regardless
+	}
 	s.meta.MarkMigrationDone(sm.mig.ID, s.cfg.ID)
 
 	sm.reportMu.Lock()
@@ -740,10 +638,7 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 			// (Figure 14's head start). A nil tm means the migration already
 			// finished here (duplicate frame): installing would resurrect
 			// stale versions above the range's fence.
-			for i := range m.Records {
-				r := &m.Records[i]
-				d.sess.ConditionalInsert(r.Key, r.Value, r.Flags&wire.RecFlagTombstone != 0, nil)
-			}
+			installRecords(d.sess, tm, m.Records)
 			d.sess.CompletePending(true)
 			tm.serving.Store(true)
 		}
@@ -754,22 +649,7 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 		tm := s.ensureTargetMigration(m.MigrationID, m.SourceID,
 			metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd})
 		if tm != nil {
-			for i := range m.Records {
-				r := &m.Records[i]
-				if r.Flags&wire.RecFlagIndirection != 0 {
-					if d.sess.SpliceIndirection(r.Hash, r.Value) != faster.StatusOK {
-						// Fallback (§3.3.2): resolve the remote suffix eagerly —
-						// behind the chain's in-memory records, which precede
-						// its indirection record on this stream and may still
-						// be installing: ConditionalInsert keeps whichever
-						// version lands first, and the suffix is older.
-						d.sess.CompletePending(true)
-						tm.fetchRangeFromSharedTier(r.Value)
-					}
-				} else {
-					d.sess.ConditionalInsert(r.Key, r.Value, r.Flags&wire.RecFlagTombstone != 0, nil)
-				}
-			}
+			installRecords(d.sess, tm, m.Records)
 		}
 		if m.Final {
 			// The source holds CompleteMigration until every record stream's
@@ -842,8 +722,8 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 // of every record stream, so all that can still be installing records are
 // the eager chain fetches those streams started; only when they are done is
 // a miss in the range authoritative (completed). Then it waits for the
-// pending set to drain (every pended op is now decidable), takes the
-// asynchronous checkpoint, and marks the target side done.
+// pending set to drain (every pended op is now decidable), takes the same
+// checkpoint the source's complete does, and marks the target side done.
 func (tm *targetMigration) finish() {
 	s := tm.s
 	for tm.fetches.Load() > 0 {
@@ -853,10 +733,9 @@ func (tm *targetMigration) finish() {
 	for s.stats.PendingOps.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}
-	var ckpt bytes.Buffer
-	done := make(chan struct{})
-	s.store.Checkpoint(&ckpt, func(faster.CheckpointInfo, error) { close(done) })
-	<-done
+	if s.images != nil {
+		s.Checkpoint() //nolint:errcheck // failures are counted inside; the side is marked done regardless
+	}
 	// Retire locally before marking done in the metadata store: once the id
 	// is in targetsRetired no stale snapshot can resurrect the migration, so
 	// the mark's visibility order stops mattering.
@@ -887,8 +766,7 @@ func (s *Server) targetMigrationStep(d *dispatcher) bool {
 
 // fetchFromSharedTier asynchronously retrieves key's record from the remote
 // suffix described by an encoded IndirectionPayload, inserts it locally, and
-// thereby unblocks pended operations. A miss materializes as a local
-// tombstone so absence also becomes locally decidable.
+// thereby unblocks pended operations.
 func (s *Server) fetchFromSharedTier(key []byte, payload []byte) {
 	p, ok := hlog.DecodeIndirection(payload)
 	if !ok {
@@ -903,25 +781,11 @@ func (s *Server) fetchFromSharedTier(key []byte, payload []byte) {
 	s.fetching[k] = struct{}{}
 	s.fetchMu.Unlock()
 
-	keyCopy := append([]byte(nil), key...)
 	go func() { //shadowfax:ignore hotpathalloc the fetch goroutine is the point: the dispatcher must not wait on the shared tier
-		defer func() {
-			s.fetchMu.Lock()
-			delete(s.fetching, k)
-			s.fetchMu.Unlock()
-		}()
-		s.stats.RemoteFetches.Add(1)
-		rec, tomb, found := s.walkRemoteChain(p, keyCopy)
-		sess := s.fetchSession()
-		defer s.releaseFetchSession(sess)
-		if found {
-			sess.ConditionalInsert(keyCopy, rec, tomb, nil)
-		} else {
-			// Materialize absence: a tombstone in front of the indirection
-			// record makes the miss locally decidable.
-			sess.ConditionalInsert(keyCopy, nil, true, nil)
-		}
-		sess.CompletePending(true)
+		s.installFromTier(p, []byte(k)) // never nil, even for "": a nil key asks for the whole suffix
+		s.fetchMu.Lock()
+		delete(s.fetching, k)
+		s.fetchMu.Unlock()
 	}()
 }
 
@@ -933,94 +797,33 @@ func (tm *targetMigration) fetchRangeFromSharedTier(payload []byte) {
 	if !ok {
 		return
 	}
-	s := tm.s
 	tm.fetches.Add(1)
 	go func() {
 		defer tm.fetches.Add(-1)
-		s.stats.RemoteFetches.Add(1)
-		sess := s.fetchSession()
-		defer s.releaseFetchSession(sess)
-		tier := s.store.Log().Tier()
-		if tier == nil {
-			return
-		}
-		pageBits := s.store.Log().PageBits()
-		logID, addr := p.LogID, p.NextAddress
-		for addr != hlog.InvalidAddress {
-			rec, err := hlog.ReadRecordFromTier(tier, logID, pageBits, addr, 512)
-			if err != nil {
-				return
-			}
-			m := rec.Meta()
-			if m.Indirection() {
-				if ip, ok := hlog.DecodeIndirection(rec.Value()); ok {
-					logID, addr = ip.LogID, ip.NextAddress
-					continue
-				}
-				return
-			}
-			if !m.Invalid() {
-				h := faster.HashOf(rec.Key())
-				if p.RangeStart <= h && h < p.RangeEnd {
-					sess.ConditionalInsert(append([]byte(nil), rec.Key()...),
-						append([]byte(nil), rec.Value()...), m.Tombstone(), nil)
-				}
-			}
-			addr = m.Previous()
-		}
-		sess.CompletePending(true)
+		tm.s.installFromTier(p, nil)
 	}()
 }
 
-// walkRemoteChain follows a chain through the shared tier looking for key.
-func (s *Server) walkRemoteChain(p hlog.IndirectionPayload, key []byte) (value []byte, tombstone, found bool) {
-	tier := s.store.Log().Tier()
-	if tier == nil {
-		return nil, false, false
+// installFromTier installs what the shared-tier chain suffix p names holds:
+// key's newest version, or with a nil key every record of p's range. A key
+// the suffix does not hold is installed as a tombstone in front of the
+// indirection record, so its absence becomes locally decidable too. The
+// auxiliary session is held per installed frame, never across a tier read.
+func (s *Server) installFromTier(p hlog.IndirectionPayload, key []byte) {
+	s.stats.RemoteFetches.Add(1)
+	in := recordBatch{max: frameRecords, send: func(recs []wire.MigrationRecord, _ bool) bool {
+		installRecords(s.fetchAux.acquire(s.store), nil, recs)
+		s.fetchAux.release()
+		return true
+	}}
+	found := false
+	s.store.WalkTierChain(p, key, func(rec faster.CollectedRecord) bool {
+		found = true
+		in.add(rec)
+		return key == nil // a key's first match is its newest version
+	})
+	if key != nil && !found {
+		in.add(faster.CollectedRecord{Key: key, Tombstone: true})
 	}
-	pageBits := s.store.Log().PageBits()
-	logID, addr := p.LogID, p.NextAddress
-	for addr != hlog.InvalidAddress {
-		rec, err := hlog.ReadRecordFromTier(tier, logID, pageBits, addr, 512+len(key))
-		if err != nil {
-			return nil, false, false
-		}
-		m := rec.Meta()
-		if m.Indirection() {
-			// Chained migrations: hop into the older log.
-			if ip, ok := hlog.DecodeIndirection(rec.Value()); ok &&
-				faster.HashOf(key) >= ip.RangeStart && faster.HashOf(key) < ip.RangeEnd {
-				logID, addr = ip.LogID, ip.NextAddress
-				continue
-			}
-			return nil, false, false
-		}
-		if !m.Invalid() && bytes.Equal(rec.Key(), key) {
-			return append([]byte(nil), rec.Value()...), m.Tombstone(), true
-		}
-		addr = m.Previous()
-	}
-	return nil, false, false
-}
-
-// fetchSession hands out the server's auxiliary session (guarded: fetches
-// and sampled-record scans are rare, slow paths). The session's epoch guard
-// is suspended while unused — an idle registered guard would stall every
-// global cut (view changes, flushes, checkpoints) forever.
-func (s *Server) fetchSession() *faster.Session {
-	s.fetchSessMu.Lock()
-	if s.fetchSess == nil {
-		s.fetchSess = s.store.NewSession()
-	} else {
-		s.fetchSess.Guard().Resume()
-	}
-	// Adopt the current CPR version: this session can sit suspended across
-	// checkpoints, and its appends must not be stamped with a stale version.
-	s.fetchSess.Refresh()
-	return s.fetchSess
-}
-
-func (s *Server) releaseFetchSession(sess *faster.Session) {
-	sess.Guard().Suspend()
-	s.fetchSessMu.Unlock()
+	in.flush(false)
 }

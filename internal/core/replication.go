@@ -111,17 +111,17 @@ func (rs *replState) currentSeq() uint64 {
 	return rs.seq
 }
 
-// sendNumbered assigns the next stream sequence, encodes the frame for it and
-// ships it. Returns the assigned seq; ok is false (and the backup is
-// detached) on a send failure.
-func (rs *replState) sendNumbered(enc func(seq uint64) []byte) (uint64, bool) {
+// sendNumbered assigns the next stream sequence, stamps it into frame (an
+// encoded numbered frame, see wire.StampSeq) and ships it. Returns the
+// assigned seq; ok is false (and the backup is detached) on a send failure.
+func (rs *replState) sendNumbered(frame []byte) (uint64, bool) {
 	if rs.detached.Load() {
 		return 0, false
 	}
 	rs.mu.Lock() //shadowfax:ignore epochblock deliberately held across conn.Send so frames hit the wire in seq order; a full stream backpressures the dispatcher by design, and the ack-timeout monitor detaches a wedged backup to bound the stall
 	rs.seq++
 	seq := rs.seq
-	err := rs.conn.Send(enc(seq))
+	err := rs.conn.Send(wire.StampSeq(frame, seq))
 	rs.mu.Unlock()
 	if err != nil {
 		rs.s.detachReplica(rs, "send: "+err.Error()) //shadowfax:ignore hotpathalloc send-failure path only; the stream is already being torn down
@@ -134,13 +134,7 @@ func (rs *replState) sendNumbered(enc func(seq uint64) []byte) (uint64, bool) {
 // the assigned seq, or 0 when the stream is down.
 func (rs *replState) forward(batchFrame []byte) uint64 {
 	rb := wire.ReplBatch{Batch: batchFrame}
-	seq, ok := rs.sendNumbered(func(seq uint64) []byte { //shadowfax:ignore hotpathalloc one escaping closure per forwarded batch is the accepted cost of assigning seq under the stream lock
-		rb.Seq = seq
-		return wire.EncodeReplBatch(&rb)
-	})
-	if !ok {
-		return 0
-	}
+	seq, _ := rs.sendNumbered(wire.EncodeReplBatch(&rb))
 	return seq
 }
 
@@ -352,46 +346,22 @@ func (s *Server) baseSync(rs *replState, sealed uint32, cutTail hlog.Address) {
 		defer s.ckptMu.Unlock()
 
 		begin := wire.ReplBaseBegin{Sealed: sealed, CutTail: uint64(cutTail)}
-		if _, ok := rs.sendNumbered(func(seq uint64) []byte {
-			begin.Seq = seq
-			return wire.EncodeReplBaseBegin(begin)
-		}); !ok {
+		if _, ok := rs.sendNumbered(wire.EncodeReplBaseBegin(begin)); !ok {
 			return false
 		}
 
 		sess := s.store.NewSession()
 		defer sess.Close()
-		batch := make([]wire.MigrationRecord, 0, s.cfg.MigrationBatchRecords)
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			msg := wire.ReplRecords{Records: batch}
-			_, ok := rs.sendNumbered(func(seq uint64) []byte {
-				msg.Seq = seq
-				return wire.EncodeReplRecords(&msg)
-			})
-			batch = batch[:0]
+		out := recordBatch{max: frameRecords, send: func(recs []wire.MigrationRecord, _ bool) bool {
+			_, ok := rs.sendNumbered(wire.EncodeReplRecords(&wire.ReplRecords{Records: recs}))
 			return ok
-		}
-		skipped, err := sess.ReplScan(sealed, cutTail, func(cr faster.CollectedRecord) bool {
-			var flags uint8
-			if cr.Tombstone {
-				flags |= wire.RecFlagTombstone
-			}
-			batch = append(batch, wire.MigrationRecord{
-				Hash: cr.Hash, Flags: flags, Key: cr.Key, Value: cr.Value,
-			})
-			if len(batch) >= s.cfg.MigrationBatchRecords {
-				return flush()
-			}
-			return true
-		})
+		}}
+		skipped, err := sess.ReplScan(sealed, cutTail, out.add)
 		if err != nil {
 			s.detachReplica(rs, "base scan: "+err.Error())
 			return false
 		}
-		if !flush() {
+		if !out.flush(false) {
 			return false
 		}
 
@@ -399,17 +369,11 @@ func (s *Server) baseSync(rs *replState, sealed uint32, cutTail hlog.Address) {
 		for id, lastSeq := range s.sessTab.snapshotUpTo(sealed) {
 			st.Sessions = append(st.Sessions, wire.ReplSession{ID: id, LastSeq: lastSeq})
 		}
-		if _, ok := rs.sendNumbered(func(seq uint64) []byte {
-			st.Seq = seq
-			return wire.EncodeReplSessTab(&st)
-		}); !ok {
+		if _, ok := rs.sendNumbered(wire.EncodeReplSessTab(&st)); !ok {
 			return false
 		}
 		done := wire.ReplBaseDone{SkippedIndirections: uint32(skipped)}
-		doneSeq, ok := rs.sendNumbered(func(seq uint64) []byte {
-			done.Seq = seq
-			return wire.EncodeReplBaseDone(done)
-		})
+		doneSeq, ok := rs.sendNumbered(wire.EncodeReplBaseDone(done))
 		if !ok {
 			return false
 		}
@@ -458,11 +422,7 @@ func (s *Server) heartbeatLoop(rs *replState) {
 			s.detachReplica(rs, "ack timeout")
 			return
 		}
-		hb := wire.ReplHeartbeat{}
-		if _, ok := rs.sendNumbered(func(seq uint64) []byte {
-			hb.Seq = seq
-			return wire.EncodeReplHeartbeat(hb)
-		}); !ok {
+		if _, ok := rs.sendNumbered(wire.EncodeReplHeartbeat(wire.ReplHeartbeat{})); !ok {
 			return
 		}
 	}
@@ -730,10 +690,7 @@ func (s *Server) runReplicaSession() (promoted, attached bool) {
 				s.stats.DecodeErrors.Add(1)
 				return false, attached
 			}
-			for i := range m.Records {
-				r := &m.Records[i]
-				sess.ConditionalInsert(r.Key, r.Value, r.Flags&wire.RecFlagTombstone != 0, nil)
-			}
+			installRecords(sess, nil, m.Records)
 			// The records alias the frame: drain any pending installs before
 			// the next TryRecv invalidates it.
 			for sess.Pending() > 0 {

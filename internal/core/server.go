@@ -160,16 +160,6 @@ type ServerConfig struct {
 
 	// Migration tuning.
 
-	// MigrationBatchRecords is how many records ride in one migration
-	// frame.
-	MigrationBatchRecords int
-	// MigrationChunkBuckets is the unit of work a thread claims from the
-	// hash table while collecting records (interleaved with request
-	// processing).
-	MigrationChunkBuckets int
-	// SampleLimit caps the sampled hot records shipped at ownership
-	// transfer.
-	SampleLimit int
 	// SampleDuration is how long the Sampling phase lets accesses
 	// accumulate hot records before ownership transfer.
 	SampleDuration time.Duration
@@ -190,15 +180,6 @@ func (c *ServerConfig) applyDefaults() error {
 	}
 	if c.Threads <= 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if c.MigrationBatchRecords == 0 {
-		c.MigrationBatchRecords = 512
-	}
-	if c.MigrationChunkBuckets == 0 {
-		c.MigrationChunkBuckets = 256
-	}
-	if c.SampleLimit == 0 {
-		c.SampleLimit = 4096
 	}
 	if c.SampleDuration == 0 {
 		c.SampleDuration = 50 * time.Millisecond
@@ -325,10 +306,9 @@ type Server struct {
 	fetchMu  sync.Mutex
 	fetching map[string]struct{}
 
-	// fetchSess is an auxiliary store session for slow paths (shared-tier
-	// fetches, sampled-record scans); fetchSessMu serializes its users.
-	fetchSessMu sync.Mutex
-	fetchSess   *faster.Session
+	// fetchAux is the store session of the migration slow paths (shared-tier
+	// installs, the sampled-record scan).
+	fetchAux auxSession
 
 	// Durability state (see checkpoint.go).
 	images  *storage.ImageStore
@@ -355,8 +335,8 @@ type Server struct {
 	leaseOnce sync.Once
 
 	// Space-management state (see compaction.go).
-	compactMu      sync.Mutex // serializes compaction passes
-	compactSess    *faster.Session
+	compactMu      sync.Mutex    // serializes compaction passes
+	compactAux     auxSession    // exclusive to the running pass, as Session.Compact requires
 	committedBegin atomic.Uint64 // begin address of the latest committed image
 	prevPassBegin  atomic.Uint64 // begin after the previous pass (reclaim grace)
 	liveFrac       atomic.Uint64 // last pass's live fraction, per-mille
@@ -365,6 +345,35 @@ type Server struct {
 	lastCompact    CompactStats
 
 	stats ServerStats
+}
+
+// auxSession is a store session for a background task, parked between uses:
+// an idle registered epoch guard would stall every global cut (view changes,
+// flushes, checkpoints) forever.
+type auxSession struct {
+	mu   sync.Mutex // serializes the session's users
+	sess *faster.Session
+}
+
+// acquire locks the session, creating it on first use, and resumes its guard.
+// It adopts the current CPR version: the session sits suspended across
+// checkpoints, and its appends must not carry a stale stamp.
+func (a *auxSession) acquire(st *faster.Store) *faster.Session {
+	a.mu.Lock()
+	if a.sess == nil {
+		a.sess = st.NewSession()
+	} else {
+		a.sess.Guard().Resume()
+	}
+	a.sess.Refresh()
+	return a.sess
+}
+
+// release finishes the session's pending I/O and parks it again.
+func (a *auxSession) release() {
+	a.sess.CompletePending(true)
+	a.sess.Guard().Suspend()
+	a.mu.Unlock()
 }
 
 // NewServer builds a Shadowfax server, registers it in the metadata store
@@ -770,14 +779,13 @@ type dispatcher struct {
 	// hot path never allocates to consult them.
 	tmSnap []*targetMigration
 
-	// Outbound migration state. migConn is dialed per migration (migConnID
-	// says which — ids start at 1): reusing a connection across migrations
-	// would ship a later migration's records to the previous target.
+	// Outbound migration state (see migrationBatch). migOut and migConn are
+	// set up per migration (migConnID says which — ids start at 1).
 	// migAckID and migDoneID record which migration this dispatcher already
 	// crossed the transfer boundary for (ackTransfer) and finished
 	// collecting for, so a later outbound migration starts with a clean
 	// slate instead of inheriting a stale flag.
-	migBatch  []wire.MigrationRecord
+	migOut    recordBatch
 	migConn   transport.Conn
 	migConnID uint64
 	migAckID  uint64

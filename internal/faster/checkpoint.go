@@ -34,42 +34,26 @@ type CheckpointInfo struct {
 	IndexSize int
 }
 
-// Checkpoint seals the current CPR version over a global cut, then persists
-// the store to w on a background goroutine. done receives the result
-// exactly once. The store remains fully available throughout.
-func (s *Store) Checkpoint(w io.Writer, done func(CheckpointInfo, error)) {
-	s.CheckpointCut(w, nil, done)
-}
-
-// CheckpointCut is Checkpoint with a cut hook: onCut runs on the background
-// goroutine after every thread has crossed the version cut and before any
-// checkpoint bytes are written to w, receiving the sealed version. The
-// server layer uses it to serialize its own section (ownership view, client
-// session table restricted to operations stamped <= sealed) into the same
-// image — recovery then filters the fuzzy log to exactly that version
-// prefix, so the two sections agree record-for-record.
+// CheckpointCut seals the current CPR version (SealVersion, whose contract
+// on overlapping sealers applies) and then persists the store to w on the
+// cut's background goroutine; done receives the result exactly once and the
+// store remains fully available throughout. onCut, when set, runs after
+// every thread has crossed the version cut and before any checkpoint bytes
+// are written to w, receiving the sealed version. The server layer uses it to
+// serialize its own section (ownership view, client session table restricted
+// to operations stamped <= sealed) into the same image — recovery then
+// filters the fuzzy log to exactly that version prefix, so the two sections
+// agree record-for-record.
 func (s *Store) CheckpointCut(w io.Writer, onCut func(sealed uint32), done func(CheckpointInfo, error)) {
-	// The cut tail is captured before the version bump: every record stamped
-	// sealed+1 is allocated after the bump, hence at or above this address.
-	// Recovery only applies its version filter above it, which keeps the
-	// 11-bit masked version comparison unambiguous (within one checkpoint
-	// window only sealed and sealed+1 exist).
-	s.cutsPending.Add(1)
-	cutTail := s.log.TailAddress()
-	sealed := s.version.Add(1) - 1
-	s.epoch.BumpWithAction(func() {
-		s.cutsPending.Add(-1)
-		go func() {
-			if onCut != nil {
-				onCut(sealed)
-			}
-			info, err := s.writeCheckpoint(sealed, cutTail, w)
-			done(info, err)
-		}()
+	s.SealVersion(func(sealed uint32, cutTail hlog.Address) {
+		if onCut != nil {
+			onCut(sealed)
+		}
+		done(s.writeCheckpoint(sealed, cutTail, w))
 	})
 }
 
-// CheckpointSync is Checkpoint for callers that can block (tools, tests).
+// CheckpointSync is CheckpointCut for callers that can block (tools, tests).
 // It must not be called from an epoch-protected thread.
 func (s *Store) CheckpointSync(w io.Writer) (CheckpointInfo, error) {
 	type result struct {
@@ -77,7 +61,7 @@ func (s *Store) CheckpointSync(w io.Writer) (CheckpointInfo, error) {
 		err  error
 	}
 	ch := make(chan result, 1)
-	s.Checkpoint(w, func(info CheckpointInfo, err error) { ch <- result{info, err} })
+	s.CheckpointCut(w, nil, func(info CheckpointInfo, err error) { ch <- result{info, err} })
 	s.epoch.DrainPending()
 	r := <-ch
 	return r.info, r.err
@@ -104,10 +88,7 @@ func (s *Store) writeCheckpoint(sealed uint32, cutTail hlog.Address, w io.Writer
 	tail = lg.TailAddress()
 	lg.FlushUntil(tail)
 
-	pageBits := uint(0)
-	for 1<<pageBits != lg.PageSize() {
-		pageBits++
-	}
+	pageBits := lg.PageBits()
 	tailPage := tail.Page(pageBits)
 	tailPageStart := hlog.Address(tailPage << pageBits)
 	partial := lg.NewPageBuffer()

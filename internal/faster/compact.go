@@ -62,10 +62,7 @@ func (sess *Session) CompactScan(upTo hlog.Address, owned func(hash uint64) bool
 	if upTo <= begin {
 		return st, begin, nil
 	}
-	pageBits := uint(0)
-	for 1<<pageBits != lg.PageSize() {
-		pageBits++
-	}
+	pageBits := lg.PageBits()
 	buf := lg.NewPageBuffer()
 	endPage := upTo.Page(pageBits) // scan whole pages strictly below upTo's page
 	for p := begin.Page(pageBits); p < endPage; p++ {
@@ -99,12 +96,7 @@ func (sess *Session) CompactScan(upTo hlog.Address, owned func(hash uint64) bool
 					return false
 				}
 				if live && relocate != nil {
-					if !relocate(CollectedRecord{
-						Hash:      hash,
-						Key:       append([]byte(nil), key...),
-						Value:     append([]byte(nil), r.Value()...),
-						Tombstone: m.Tombstone(),
-					}) {
+					if !relocate(collect(hash, r, false)) {
 						cerr = ErrRelocateAborted
 						return false
 					}

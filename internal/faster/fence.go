@@ -89,12 +89,6 @@ func (s *Store) RestoreFences(fs []Fence) {
 	s.fences.p.Store(&next)
 }
 
-// FenceBelow reports the address below which records for hash are retired
-// (InvalidAddress when unfenced). It exists for the migration disk scan,
-// which reads raw pages outside any session and must apply the same filter
-// CollectChain does.
-func (s *Store) FenceBelow(hash uint64) hlog.Address { return s.fenceBelow(hash) }
-
 // fenceBelow returns the address below which records for hash are dead
 // (InvalidAddress when unfenced — no record sits below the null address, so
 // the zero value disables the check).

@@ -1,6 +1,8 @@
 package faster
 
 import (
+	"bytes"
+
 	"repro/internal/hashidx"
 	"repro/internal/hlog"
 )
@@ -126,7 +128,9 @@ func (sess *Session) SpliceIndirection(repHash uint64, payload []byte) Status {
 	}
 }
 
-// CollectedRecord is one record harvested from a chain during migration.
+// CollectedRecord is one record copied out of a log for shipment to another
+// server: migration, compaction relocation, replica base sync, or a shared-
+// tier fetch.
 type CollectedRecord struct {
 	Hash      uint64
 	Key       []byte // nil for indirection records
@@ -137,12 +141,45 @@ type CollectedRecord struct {
 	Indirection bool
 }
 
+// dataIn reports whether rec is a valid data record (not an indirection)
+// whose key hashes into [start, end), and returns that hash.
+func dataIn(rec hlog.Record, start, end uint64) (hash uint64, ok bool) {
+	if m := rec.Meta(); m.Invalid() || m.Indirection() {
+		return 0, false
+	}
+	hash = HashOf(rec.Key())
+	return hash, hash >= start && hash < end
+}
+
+// shippable is the one test every path that ships versions out of this
+// store's own log applies (CollectChain, CollectSampled, CollectStable,
+// ReplScan): a valid data record in [start, end) at or above its hash's
+// ownership fence. Versions below the fence are retired leftovers from an
+// earlier tenancy of the range and must never leave the server.
+func (s *Store) shippable(addr hlog.Address, rec hlog.Record, start, end uint64) (uint64, bool) {
+	hash, ok := dataIn(rec, start, end)
+	return hash, ok && addr >= s.fenceBelow(hash)
+}
+
+// collect copies rec out of the log. live says rec sits in an in-memory
+// frame, where its value may be updated in place while it is copied.
+func collect(hash uint64, rec hlog.Record, live bool) CollectedRecord {
+	cr := CollectedRecord{Hash: hash, Key: append([]byte(nil), rec.Key()...),
+		Tombstone: rec.Meta().Tombstone()}
+	if live {
+		cr.Value = rec.ReadValueStable(nil)
+	} else {
+		cr.Value = append([]byte(nil), rec.Value()...)
+	}
+	return cr
+}
+
 // CollectChain walks one hash chain (rooted at the index slot) and collects
 // the newest version of every key in [rangeStart, rangeEnd). When the chain
 // descends below the head address the walk stops and, if makeIndirection is
 // set, a single indirection record pointing at the remainder is emitted
-// (§3.3.2); otherwise the on-storage remainder is skipped (the caller scans
-// storage separately, as the Rocksteady baseline does).
+// (§3.3.2); otherwise the on-storage remainder is skipped (the caller ships
+// it separately with CollectStable, as the Rocksteady baseline does).
 //
 // bucket is the chain's main-bucket index (from ForEachEntryInBuckets); it
 // combines with the entry tag into a representative hash that reproduces the
@@ -174,11 +211,7 @@ func (sess *Session) CollectChain(bucket uint64, slot hashidx.Slot, rangeStart, 
 		}
 		rec := lg.RecordAt(addr)
 		m := rec.Meta()
-		if m.Invalid() {
-			addr = m.Previous()
-			continue
-		}
-		if m.Indirection() {
+		if m.Indirection() && !m.Invalid() {
 			// Forward an existing indirection record if its range overlaps
 			// the migrating range (chained migrations).
 			if p, ok := hlog.DecodeIndirection(rec.Value()); ok &&
@@ -186,22 +219,108 @@ func (sess *Session) CollectChain(bucket uint64, slot hashidx.Slot, rangeStart, 
 				emit(CollectedRecord{Hash: p.HashBucket,
 					Value: append([]byte(nil), rec.Value()...), Indirection: true})
 			}
-			addr = m.Previous()
-			continue
-		}
-		h := HashOf(rec.Key())
-		if h >= rangeStart && h < rangeEnd && addr >= sess.s.fenceBelow(h) {
-			// Records below the hash's ownership fence are retired leftovers
-			// from an earlier tenancy of the range — never ship them.
+		} else if h, ok := sess.s.shippable(addr, rec, rangeStart, rangeEnd); ok {
 			k := string(rec.Key())
 			if _, dup := seen[k]; !dup {
 				seen[k] = struct{}{}
-				emit(CollectedRecord{
-					Hash:      h,
-					Key:       append([]byte(nil), rec.Key()...),
-					Value:     rec.ReadValueStable(nil),
-					Tombstone: m.Tombstone(),
-				})
+				emit(collect(h, rec, true))
+			}
+		}
+		addr = m.Previous()
+	}
+}
+
+// CollectSampled emits the newest shippable version of up to limit keys of
+// [rangeStart, rangeEnd) found in the in-memory log at or above from — the
+// hot records the Sampling phase copied to the tail (§3.3). The log is
+// oldest-first, so a key's later version replaces its earlier one.
+func (sess *Session) CollectSampled(from hlog.Address, rangeStart, rangeEnd uint64, limit int,
+	emit func(CollectedRecord)) {
+	lg := sess.s.log
+	if head := lg.HeadAddress(); from < head {
+		from = head // pages below the head have been evicted under the scan's feet
+	}
+	newest := make(map[string]hlog.Address)
+	lg.ScanMemory(from, lg.TailAddress(), func(addr hlog.Address, r hlog.Record) bool {
+		if _, ok := sess.s.shippable(addr, r, rangeStart, rangeEnd); ok {
+			newest[string(r.Key())] = addr
+		}
+		return true
+	})
+	for _, addr := range newest {
+		if limit == 0 {
+			return
+		}
+		limit--
+		rec := lg.RecordAt(addr)
+		emit(collect(HashOf(rec.Key()), rec, true))
+	}
+}
+
+// CollectStable emits every shippable version of [rangeStart, rangeEnd) in
+// the device-resident prefix [BeginAddress, SafeHeadAddress), strictly newest
+// first: pages in descending address order, each page's records in reverse.
+// It is the second pass for a source that cannot leave indirection records
+// behind (the Rocksteady baseline, or no shared tier; §4.1, Figure 10(c)).
+// The receiver installs with ConditionalInsert, which is first-writer-wins —
+// arriving oldest-first, a key whose only versions are on the device would be
+// resurrected at its oldest value. Only device pages are read, so no epoch
+// guard is needed; a page that cannot be read ships nothing.
+func (s *Store) CollectStable(rangeStart, rangeEnd uint64, emit func(CollectedRecord)) {
+	lg := s.log
+	pageBits := lg.PageBits()
+	beginPage := lg.BeginAddress().Page(pageBits)
+	buf := lg.NewPageBuffer()
+	var recs []CollectedRecord
+	for p := lg.SafeHeadAddress().Page(pageBits); p > beginPage; p-- {
+		if lg.ReadPageFromDevice(p-1, buf) != nil {
+			continue
+		}
+		recs = recs[:0]
+		hlog.ScanPageBuffer(hlog.Address((p-1)<<pageBits), buf, func(addr hlog.Address, r hlog.Record) bool {
+			if h, ok := s.shippable(addr, r, rangeStart, rangeEnd); ok {
+				recs = append(recs, collect(h, r, false))
+			}
+			return true
+		})
+		for i := len(recs) - 1; i >= 0; i-- {
+			emit(recs[i])
+		}
+	}
+}
+
+// WalkTierChain follows the chain suffix p names through the shared tier
+// (§3.3.2), newest first, hopping into older logs through chained
+// indirection records, and emits every valid data record whose hash lies in
+// p's range. A non-nil key restricts the walk to that key: only its versions
+// are emitted, and a hop whose range excludes it ends the walk. emit returns
+// false to stop. A tier read error ends the walk like the end of the chain.
+// The addresses belong to other servers' logs, so this store's fences do not
+// apply and no epoch guard is needed.
+func (s *Store) WalkTierChain(p hlog.IndirectionPayload, key []byte, emit func(CollectedRecord) bool) {
+	tier := s.log.Tier()
+	if tier == nil {
+		return
+	}
+	keyHash := HashOf(key)
+	logID, addr := p.LogID, p.NextAddress
+	for addr != hlog.InvalidAddress {
+		rec, err := hlog.ReadRecordFromTier(tier, logID, s.log.PageBits(), addr, 512+len(key))
+		if err != nil {
+			return
+		}
+		m := rec.Meta()
+		if m.Indirection() {
+			ip, ok := hlog.DecodeIndirection(rec.Value())
+			if !ok || key != nil && (keyHash < ip.RangeStart || keyHash >= ip.RangeEnd) {
+				return
+			}
+			logID, addr = ip.LogID, ip.NextAddress
+			continue
+		}
+		if h, ok := dataIn(rec, p.RangeStart, p.RangeEnd); ok && (key == nil || bytes.Equal(rec.Key(), key)) {
+			if !emit(collect(h, rec, false)) {
+				return
 			}
 		}
 		addr = m.Previous()

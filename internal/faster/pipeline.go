@@ -21,6 +21,11 @@ const (
 	// whenever it grows this long, so a burst of pending ops overlaps its
 	// device reads instead of waiting for the next CompletePending.
 	readBatchMax = 64
+	// readAheadBytes extends each pipelined record read backwards by up to
+	// this many bytes (clamped to the page start): chain predecessors on the
+	// same page land in the span and follow hops are served without another
+	// device trip.
+	readAheadBytes = 1024
 	// ioEntryPoolCap bounds how many recycled entries a session retains;
 	// ioEntryBufKeep is the largest span buffer kept across recycling.
 	ioEntryPoolCap = 128
@@ -115,7 +120,6 @@ func (sess *Session) flushReads() {
 	}
 	lg := sess.s.log
 	pageBits := lg.PageBits()
-	behind := sess.s.cfg.ReadAheadBytes
 	floor := lg.BeginAddress()
 	reqs := pipe.reqs[:0]
 	// batch collects the entries of this submission in reqs order. It is
@@ -148,7 +152,7 @@ func (sess *Session) flushReads() {
 			continue
 		}
 		ent := sess.getEntry(0)
-		off, n, _ := hlog.PlanRecordRead(p.addr, sess.s.cfg.ReadHintBytes+len(p.key), behind, pageBits, floor)
+		off, n, _ := hlog.PlanRecordRead(p.addr, sess.s.cfg.ReadHintBytes+len(p.key), readAheadBytes, pageBits, floor)
 		if cap(ent.buf) < n {
 			ent.buf = hlog.AlignedBuf(n) //shadowfax:ignore hotpathalloc pool-miss span buffer growth, amortized
 		}
@@ -178,7 +182,7 @@ func (sess *Session) flushReads() {
 		ent.waiters = nil
 		ent.mu.Unlock()
 		for _, w := range ws {
-			completions <- w //shadowfax:ignore epochblock runs on the device worker goroutine, not in the epoch section; buffered to MaxPendingPerSession so it cannot block regardless
+			completions <- w //shadowfax:ignore epochblock runs on the device worker goroutine, not in the epoch section; buffered to maxPendingPerSession so it cannot block regardless
 		}
 	})
 }

@@ -14,6 +14,10 @@ package faster
 // seen again while its tag survives earns the copy. A one-pass scan touches
 // every key once and promotes nothing.
 
+// readCacheSlots sizes the second-chance filter tables (a power of two: slots
+// are indexed by masking the hash).
+const readCacheSlots = 8192
+
 // cacheTag derives a non-zero filter tag from a key hash. Filter slots are
 // indexed by the hash's low bits, so the tag draws on the high bits; zero is
 // reserved for "empty".

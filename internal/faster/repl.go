@@ -16,12 +16,21 @@ var ErrScanAborted = errors.New("faster: replication scan aborted")
 // scanning the sealed prefix so it can be shipped to a backup as ordinary
 // records (installed there via ConditionalInsert, exactly like migration).
 
-// SealVersion advances the CPR version over an asynchronous global cut, like
-// CheckpointCut, but without serializing a checkpoint image. onCut runs on a
-// background goroutine after every thread has crossed the cut, receiving the
-// sealed version and the tail captured before the bump: every record stamped
-// sealed+1 lives at or above cutTail, so a scan below it (ReplScan) covers
-// exactly the operations acknowledged before the cut.
+// SealVersion advances the CPR version over an asynchronous global cut.
+// onCut runs on a background goroutine after every thread has crossed the
+// cut, receiving the sealed version and the tail captured before the bump:
+// every record stamped sealed+1 is allocated after the bump, hence lives at
+// or above cutTail, so a scan below it (ReplScan) or a recovery that filters
+// only above it (CheckpointCut's image) covers exactly the operations
+// acknowledged before the cut — and the 11-bit masked version comparison
+// stays unambiguous, because within one cut's window only sealed and
+// sealed+1 coexist.
+//
+// Sealers are serialized by the caller (the server's checkpoint mutex). An
+// overlapping seal — a second SealVersion before the first cut's image or
+// scan has finished — stamps records sealed+2 above the first cut's cutTail,
+// which recovery's filter keeps (it drops only sealed+1): post-cut operations
+// leak into the recovered state and are then replayed a second time.
 //
 // The cut's correctness requires that a guard crossing implies version
 // adoption for every session that stamps records: server sessions run in
@@ -89,57 +98,31 @@ func (sess *Session) ReplScan(sealed uint32, cutTail hlog.Address,
 			begin := lg.BeginAddress()
 			addr := e.Address()
 			for addr != hlog.InvalidAddress && addr >= begin {
-				var m hlog.Meta
+				live := lg.InMemory(addr)
 				var rec hlog.Record
-				if lg.InMemory(addr) {
+				if live {
 					rec = lg.RecordAt(addr)
-					m = rec.Meta()
-				} else {
-					var rerr error
-					rec, rerr = lg.ReadRecordFromDevice(addr, sess.s.cfg.ReadHintBytes)
-					if rerr != nil {
-						err = rerr
-						return false
-					}
-					m = rec.Meta()
+				} else if rec, err = lg.ReadRecordFromDevice(addr, sess.s.cfg.ReadHintBytes); err != nil {
+					return false
 				}
-				if m.Invalid() {
-					addr = m.Previous()
-					continue
-				}
-				if m.Indirection() {
+				m := rec.Meta()
+				switch {
+				case m.Indirection() && !m.Invalid():
 					skippedIndirections++
-					addr = m.Previous()
-					continue
-				}
-				// Post-cut records only exist at or above cutTail; skip them
-				// without consuming the key's "seen" slot — its newest pre-cut
-				// version sits further down the chain.
-				if addr >= cutTail && hlog.SameVersion(m.Version(), sealed+1) {
-					addr = m.Previous()
-					continue
-				}
-				h := HashOf(rec.Key())
-				if addr < sess.s.fenceBelow(h) {
-					addr = m.Previous()
-					continue
-				}
-				k := string(rec.Key())
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					cr := CollectedRecord{
-						Hash:      h,
-						Key:       append([]byte(nil), rec.Key()...),
-						Tombstone: m.Tombstone(),
-					}
-					if lg.InMemory(addr) {
-						cr.Value = rec.ReadValueStable(nil)
-					} else {
-						cr.Value = append([]byte(nil), rec.Value()...)
-					}
-					if !emit(cr) {
-						abort = true
-						return false
+				case addr >= cutTail && hlog.SameVersion(m.Version(), sealed+1):
+					// Post-cut records only exist at or above cutTail; skip them
+					// without consuming the key's "seen" slot — its newest pre-cut
+					// version sits further down the chain.
+				default:
+					if h, ok := sess.s.shippable(addr, rec, 0, ^uint64(0)); ok {
+						k := string(rec.Key())
+						if _, dup := seen[k]; !dup {
+							seen[k] = struct{}{}
+							if !emit(collect(h, rec, live)) {
+								abort = true
+								return false
+							}
+						}
 					}
 				}
 				addr = m.Previous()

@@ -99,12 +99,16 @@ func (sess *Session) deliver(comp completion, st Status, v []byte) {
 	invoke(comp.cb, st, v)
 }
 
+// maxPendingPerSession sizes a session's completion channel, so a device
+// worker delivering a finished read never blocks on it.
+const maxPendingPerSession = 4096
+
 // NewSession registers a new thread with the store.
 func (s *Store) NewSession() *Session {
 	return &Session{
 		s:           s,
 		g:           s.epoch.Register(),
-		completions: make(chan *pendingOp, s.cfg.MaxPendingPerSession),
+		completions: make(chan *pendingOp, maxPendingPerSession),
 		ver:         s.version.Load(),
 	}
 }

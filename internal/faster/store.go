@@ -81,23 +81,13 @@ type Config struct {
 	Log hlog.Config
 	// RMW implements read-modify-write semantics; defaults to CounterRMW.
 	RMW RMWOps
-	// MaxPendingPerSession bounds queued pending operations per session.
-	MaxPendingPerSession int
 	// ReadHintBytes sizes the first storage read of a pending operation;
 	// records at most this large need a single I/O. Defaults to 256.
 	ReadHintBytes int
-	// ReadAheadBytes extends each pipelined record read backwards by up to
-	// this many bytes (clamped to the page start): chain predecessors on the
-	// same page land in the span and follow hops are served without another
-	// device trip. Defaults to 1024; negative disables read-behind.
-	ReadAheadBytes int
 	// ReadCache enables the second-chance read cache: disk-resident read
 	// hits are (probabilistically) copied back into the mutable log region
 	// so subsequent reads hit memory. See readcache.go.
 	ReadCache bool
-	// ReadCacheSlots sizes the read cache's second-chance filter (rounded up
-	// to a power of two). Defaults to 8192.
-	ReadCacheSlots int
 }
 
 // Store is a FASTER instance.
@@ -183,19 +173,8 @@ func NewStore(cfg Config) (*Store, error) {
 	if cfg.RMW == nil {
 		cfg.RMW = CounterRMW{}
 	}
-	if cfg.MaxPendingPerSession == 0 {
-		cfg.MaxPendingPerSession = 4096
-	}
 	if cfg.ReadHintBytes == 0 {
 		cfg.ReadHintBytes = 256
-	}
-	if cfg.ReadAheadBytes == 0 {
-		cfg.ReadAheadBytes = 1024
-	} else if cfg.ReadAheadBytes < 0 {
-		cfg.ReadAheadBytes = 0
-	}
-	if cfg.ReadCacheSlots <= 0 {
-		cfg.ReadCacheSlots = 8192
 	}
 	em := cfg.Log.Epoch
 	if em == nil {
@@ -220,13 +199,9 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	s.version.Store(1)
 	if cfg.ReadCache {
-		slots := 1
-		for slots < cfg.ReadCacheSlots {
-			slots <<= 1
-		}
-		s.cacheSeen = make([]atomic.Uint32, slots)
-		s.cachePromoted = make([]atomic.Uint32, slots)
-		s.cacheMask = uint64(slots - 1)
+		s.cacheSeen = make([]atomic.Uint32, readCacheSlots)
+		s.cachePromoted = make([]atomic.Uint32, readCacheSlots)
+		s.cacheMask = readCacheSlots - 1
 	}
 	return s, nil
 }

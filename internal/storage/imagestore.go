@@ -92,7 +92,7 @@ func (st *ImageStore) NewWriter() *ImageWriter {
 }
 
 // ImageWriter streams one image onto the device. It implements io.Writer so
-// checkpoint producers (faster.Store.Checkpoint and the server-level header)
+// checkpoint producers (faster.Store.CheckpointCut and the server-level header)
 // can serialize straight to the device without staging the image in memory.
 type ImageWriter struct {
 	st  *ImageStore

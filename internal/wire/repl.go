@@ -1,5 +1,7 @@
 package wire
 
+import "encoding/binary"
+
 // Primary→backup replication frames (continuing the MsgType enum), plus the
 // scale-in drain admin frames. The replication stream has two parts: a base
 // sync (BaseBegin, Records*, SessTab, BaseDone) shipping the sealed pre-cut
@@ -35,6 +37,16 @@ const (
 	// MsgDrainResp reports the drain's outcome.
 	MsgDrainResp
 )
+
+// StampSeq numbers an encoded primary→backup frame in place and returns it.
+// Every numbered frame (BaseBegin, Records, SessTab, BaseDone, Batch,
+// Heartbeat) carries Seq at bytes [1:9], right behind the type byte, so the
+// primary encodes a frame with Seq zero and assigns the number under the
+// stream's send lock.
+func StampSeq(frame []byte, seq uint64) []byte {
+	binary.LittleEndian.PutUint64(frame[1:9], seq)
+	return frame
+}
 
 // ReplAttach asks a primary to accept the sender as its backup.
 type ReplAttach struct {

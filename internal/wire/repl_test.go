@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -219,4 +220,24 @@ func TestReplBatchEmbeddedTruncation(t *testing.T) {
 
 func putTruncU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
+// TestStampSeqNumbersEveryStreamFrame: for each numbered primary→backup frame
+// type, stamping an encoded frame changes the Seq its decoder reads and
+// nothing else — stamping the original number back restores the bytes.
+func TestStampSeqNumbersEveryStreamFrame(t *testing.T) {
+	const stamped = 0x0102030405060708
+	for _, frame := range replStreamFrames()[2:8] { // BaseBegin … Heartbeat
+		typ, _ := PeekType(frame)
+		t.Run(fmt.Sprintf("type%d", typ), func(t *testing.T) {
+			orig, _ := decodeReplFrame(frame)
+			f := StampSeq(append([]byte(nil), frame...), stamped)
+			if seq, ok := decodeReplFrame(f); !ok || seq != stamped {
+				t.Fatalf("decoded seq %#x (ok=%v) after stamping %#x", seq, ok, uint64(stamped))
+			}
+			if !bytes.Equal(StampSeq(f, orig), frame) {
+				t.Fatal("stamping touched bytes outside [1:9]")
+			}
+		})
+	}
 }
