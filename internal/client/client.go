@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"time"
 
 	"repro/internal/backoff"
@@ -58,7 +57,8 @@ func (c *Config) applyDefaults() error {
 }
 
 // Callback receives an operation's result. value is valid only during the
-// call.
+// call. A callback may issue operations; it must not call Poll, Drain,
+// RecoverSessions, FailBroken or Close (it runs inside one of them).
 type Callback func(status wire.ResultStatus, value []byte)
 
 // session is one connection to one server thread, with its view cache and
@@ -67,9 +67,8 @@ type session struct {
 	serverID string
 	conn     transport.Conn
 	view     metadata.View
-	id       uint64
-	// broken marks a dead connection (server crash/restart). Operations in
-	// inflight are preserved for RecoverSessions to replay (§3.3.1
+	// broken marks a dead connection (server crash/restart). The session's
+	// operations stay parked on it for RecoverSessions to replay (§3.3.1
 	// client-assisted recovery) rather than failed.
 	broken bool
 	// pausedUntil holds flushes off after the server shed a batch (overload);
@@ -77,23 +76,17 @@ type session struct {
 	pausedUntil time.Time
 	shedStreak  int
 
-	building wire.RequestBatch
+	building wire.RequestBatch // copies of the newest slots' Op, not yet sent
 	buildSz  int
 	nextSeq  uint32
 
-	inflight    map[uint32]queuedOp // seq -> op (for result routing + rejection replay)
+	// head..tail thread every slot the session retains, in issue (= seq)
+	// order; bySeq finds one by the sequence number a response carries.
+	head, tail  int32
+	bySeq       map[uint32]int32
 	sentBatches int
 
 	encodeBuf []byte
-}
-
-// queuedOp is an operation retained until its result arrives so a rejected
-// batch can be re-routed.
-type queuedOp struct {
-	kind  wire.OpKind
-	key   []byte
-	value []byte
-	cb    Callback
 }
 
 // Thread is a single client thread (§3.1.1: one per vCPU, pinned). It is
@@ -102,10 +95,16 @@ type queuedOp struct {
 type Thread struct {
 	cfg         Config
 	id          uint64
+	dialed      uint64 // sessions ever dialed: the next session id's low bits
 	sessions    map[string]*session
 	ownership   map[string]metadata.View
 	outstanding int
 	closed      bool
+
+	ops       []op    // the slot table; see op
+	free      []int32 // free slots, most recently freed last
+	rerouting []int32 // requeued slots, in requeue order
+	resp      wire.ResponseBatch
 
 	// breakers trip per-server after repeated dial failures so a dead or
 	// partitioned server costs issue() a map lookup, not a dial timeout,
@@ -127,6 +126,16 @@ type ThreadStats struct {
 	Refreshes   uint64
 }
 
+// Add accumulates o into s (a client sums its threads).
+func (s *ThreadStats) Add(o ThreadStats) {
+	s.OpsIssued += o.OpsIssued
+	s.OpsCompleted += o.OpsCompleted
+	s.BatchesSent += o.BatchesSent
+	s.BatchesRejected += o.BatchesRejected
+	s.BatchesShed += o.BatchesShed
+	s.Refreshes += o.Refreshes
+}
+
 // NewThread builds a client thread with a fresh ownership cache. Threads
 // may be created from any goroutine; each Thread is then single-owner.
 //
@@ -143,6 +152,7 @@ func NewThread(cfg Config) (*Thread, error) {
 		cfg:      cfg,
 		id:       rand.Uint64() >> 16,
 		sessions: make(map[string]*session),
+		ops:      make([]op, 1),
 	}
 	t.refreshOwnership()
 	return t, nil
@@ -179,103 +189,96 @@ func (t *Thread) sessionFor(serverID string) (*session, error) {
 	if !br.Allow() {
 		return nil, fmt.Errorf("client: %s unreachable (circuit open)", serverID)
 	}
+	var conn transport.Conn
 	addr, err := t.cfg.Meta.ServerAddr(serverID)
-	if err != nil {
-		br.Failure()
-		return nil, err
+	if err == nil {
+		conn, err = t.cfg.Transport.Dial(addr)
 	}
-	conn, err := t.cfg.Transport.Dial(addr)
 	if err != nil {
 		br.Failure()
 		return nil, err
 	}
 	br.Success()
+	// The id's low bits count dials, not len(t.sessions): FailBroken and
+	// retirement shrink that map, and a re-dial reusing a dropped id, its seqs
+	// back at 0, would sit under the server's high-water mark for that id —
+	// the falsely-completed-writes hazard NewThread describes.
 	s := &session{
 		serverID: serverID,
 		conn:     conn,
 		view:     t.ownership[serverID],
-		id:       t.id<<16 | uint64(len(t.sessions)),
-		inflight: make(map[uint32]queuedOp),
+		bySeq:    make(map[uint32]int32),
 	}
-	s.building.SessionID = s.id
+	s.building.SessionID = t.id<<16 | t.dialed
+	t.dialed++
 	t.sessions[serverID] = s
 	return s, nil
 }
 
 // Read issues an asynchronous read; cb runs during a later Poll.
 func (t *Thread) Read(key []byte, cb Callback) error {
-	return t.issue(wire.OpRead, key, nil, cb)
+	return t.Issue(wire.OpRead, key, nil, cb)
 }
 
 // Upsert issues an asynchronous blind write.
 func (t *Thread) Upsert(key, value []byte, cb Callback) error {
-	return t.issue(wire.OpUpsert, key, value, cb)
+	return t.Issue(wire.OpUpsert, key, value, cb)
 }
 
 // RMW issues an asynchronous read-modify-write with the given input.
 func (t *Thread) RMW(key, input []byte, cb Callback) error {
-	return t.issue(wire.OpRMW, key, input, cb)
+	return t.Issue(wire.OpRMW, key, input, cb)
 }
 
 // Delete issues an asynchronous delete.
 func (t *Thread) Delete(key []byte, cb Callback) error {
-	return t.issue(wire.OpDelete, key, nil, cb)
+	return t.Issue(wire.OpDelete, key, nil, cb)
 }
 
-// issue buffers one operation into the owning server's session (§3.1.1:
+// Issue buffers one operation into the owning server's session (§3.1.1:
 // "buffers the request inside the session, enqueues a completion callback,
 // and returns").
-func (t *Thread) issue(kind wire.OpKind, key, value []byte, cb Callback) error {
+func (t *Thread) Issue(kind wire.OpKind, key, value []byte, cb Callback) error {
+	st, refused := wire.StatusClosed, error(nil)
 	if t.closed {
-		// The completion guarantee holds even for late arrivals: the
-		// callback fires (with StatusClosed) before the error returns.
-		if cb != nil {
-			cb(wire.StatusClosed, nil)
-		}
-		return ErrClosed
-	}
-	if len(key) > math.MaxUint16 {
+		refused = ErrClosed
+	} else if len(key) > math.MaxUint16 {
 		// A request batch carries key lengths as u16. Encoded anyway, the
 		// frame would fail the server's decode and every op batched with
 		// this one would wait forever, so the op completes here instead.
-		if cb != nil {
-			cb(wire.StatusErr, nil)
-		}
-		return fmt.Errorf("client: %d-byte key exceeds the %d-byte wire limit", len(key), math.MaxUint16)
+		refused, st = fmt.Errorf("client: %d-byte key exceeds the %d-byte wire limit", len(key), math.MaxUint16), wire.StatusErr
 	}
-	op := queuedOp{kind: kind,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-		cb:    cb}
+	if refused != nil {
+		// The completion guarantee holds even for a refused operation: the
+		// callback fires before the error returns.
+		if cb != nil {
+			cb(st, nil)
+		}
+		return refused
+	}
 	t.stats.OpsIssued++
 	t.outstanding++
-	return t.enqueue(op)
+	return t.enqueue(t.claim(kind, key, value, cb))
 }
 
-func (t *Thread) enqueue(op queuedOp) error {
-	h := faster.HashOf(op.key)
+// enqueue routes slot i — fresh from claim or back from requeue — to the
+// session of its key's current owner, or completes it if it has no route.
+func (t *Thread) enqueue(i int32) error {
+	h := faster.HashOf(t.ops[i].Key)
 	owner, ok := t.ownerOf(h)
 	if !ok {
 		t.refreshOwnership()
 		if owner, ok = t.ownerOf(h); !ok {
-			t.complete(op, wire.StatusNotOwner, nil)
+			t.complete(i, wire.StatusNotOwner, nil)
 			return fmt.Errorf("client: no owner for key hash %#x", h)
 		}
 	}
 	s, err := t.sessionFor(owner)
 	if err != nil {
-		t.complete(op, wire.StatusErr, nil)
+		t.complete(i, wire.StatusErr, nil)
 		return err
 	}
-	seq := s.nextSeq
-	s.nextSeq++
-	s.building.Ops = append(s.building.Ops, wire.Op{
-		Kind: op.kind, Seq: seq, Key: op.key, Value: op.value})
-	s.buildSz += 19 + len(op.key) + len(op.value)
-	s.inflight[seq] = op
-	if len(s.building.Ops) >= t.cfg.BatchOps || s.buildSz >= t.cfg.BatchBytes {
-		t.flushSession(s)
-	}
+	t.push(s, i)
 	return nil
 }
 
@@ -288,6 +291,8 @@ func (t *Thread) Flush() {
 
 // flushSession ships the building batch if pipelining allows; otherwise it
 // stays buffered (flow control) and later Polls retry.
+//
+//shadowfax:noalloc
 func (t *Thread) flushSession(s *session) {
 	if len(s.building.Ops) == 0 {
 		return
@@ -298,16 +303,13 @@ func (t *Thread) flushSession(s *session) {
 	if s.sentBatches >= t.cfg.MaxInflightBatches {
 		return // pipeline full; Poll will drain and re-flush
 	}
-	if !s.pausedUntil.IsZero() {
-		if time.Now().Before(s.pausedUntil) {
-			return // shed back-off in effect; Poll re-flushes once it lapses
-		}
-		s.pausedUntil = time.Time{}
+	if time.Now().Before(s.pausedUntil) {
+		return // shed back-off in effect; Poll re-flushes once it lapses
 	}
 	s.building.View = s.view.Number
 	s.encodeBuf = wire.AppendRequestBatch(s.encodeBuf[:0], &s.building)
 	if err := s.conn.Send(s.encodeBuf); err != nil {
-		// Connection lost: keep the ops in inflight for session recovery —
+		// Connection lost: the ops stay parked on the session for recovery —
 		// the server may have applied earlier batches, and only a recovered
 		// server can say which (RecoverSessions asks it).
 		s.broken = true
@@ -319,140 +321,88 @@ func (t *Thread) flushSession(s *session) {
 	s.buildSz = 0
 }
 
-// Poll processes available responses on all sessions; it returns the number
-// of operations completed. Call it in the thread's main loop (§3.1.1: "on
-// receiving a batch of results, the library dequeues callbacks and executes
-// them").
+// Poll processes available responses on all sessions, re-routes what the
+// servers refused and pushes buffered operations into the renewed windows; it
+// returns the number of operations completed. Call it in the thread's main
+// loop (§3.1.1: "on receiving a batch of results, the library dequeues
+// callbacks and executes them").
 func (t *Thread) Poll() int {
 	n := 0
 	for _, s := range t.sessions {
 		for {
 			frame, ok, err := s.conn.TryRecv()
-			if err != nil {
-				s.broken = true
-				break
-			}
-			if !ok {
+			s.broken = s.broken || err != nil
+			if !ok || err != nil {
 				break
 			}
 			n += t.handleResponse(s, frame)
 		}
-		// Renewed window: push buffered ops out.
-		if len(s.building.Ops) > 0 && s.sentBatches < t.cfg.MaxInflightBatches {
-			t.flushSession(s)
-		}
 	}
+	t.reroute()
+	t.Flush()
 	return n
 }
 
+// handleResponse settles one response frame and returns the number of
+// operations it completed.
+//
+//shadowfax:noalloc
 func (t *Thread) handleResponse(s *session, frame []byte) int {
-	var resp wire.ResponseBatch
-	if err := wire.DecodeResponseBatch(frame, &resp); err != nil {
-		return 0
-	}
-	if resp.Shed {
-		// Overload, not a view problem: the server's admission control turned
-		// the batch away. Requeue exactly its operations (seqs echoed, as for
-		// rejection) WITHOUT a metadata refresh — ownership is fine — and back
-		// the session off with an escalating jittered pause so a congested
-		// server sees decaying retry pressure instead of an instant replay.
-		t.stats.BatchesShed++
-		if s.sentBatches > 0 {
-			s.sentBatches--
-		}
-		pause := backoff.Policy{Base: time.Millisecond, Max: 50 * time.Millisecond}.Delay(s.shedStreak)
-		s.shedStreak++
-		s.pausedUntil = time.Now().Add(pause)
-		for i := range resp.Results {
-			seq := resp.Results[i].Seq
-			if op, ok := s.inflight[seq]; ok {
-				delete(s.inflight, seq)
-				t.outstanding-- // enqueue re-counts
-				t.stats.OpsIssued--
-				t.issueRequeued(op)
-			}
-		}
-		return 0
-	}
-	s.shedStreak = 0
-	if resp.Rejected {
-		// View mismatch (§3.2.1): refresh ownership, requeue exactly the
-		// rejected batch's operations (the server echoed their seqs — a
-		// broader requeue would double-apply RMWs still in flight in other
-		// batches), and re-bucket anything still buffered under stale
-		// ownership.
-		t.stats.BatchesRejected++
-		if s.sentBatches > 0 {
-			s.sentBatches--
-		}
-		t.refreshOwnership()
-		var requeue []queuedOp
-		for i := range resp.Results {
-			seq := resp.Results[i].Seq
-			if op, ok := s.inflight[seq]; ok {
-				requeue = append(requeue, op)
-				delete(s.inflight, seq)
-			}
-		}
-		requeue = append(requeue, t.unbucketBuffered()...)
-		for _, op := range requeue {
-			t.outstanding-- // enqueue re-counts
-			t.stats.OpsIssued--
-			t.issueRequeued(op)
-		}
+	resp := &t.resp
+	if err := wire.DecodeResponseBatch(frame, resp); err != nil {
 		return 0
 	}
 	if s.sentBatches > 0 {
 		s.sentBatches--
 	}
+	if resp.Shed {
+		// Overload, not a view problem: the server's admission control turned
+		// the batch away. No metadata refresh — ownership is fine, the ops go
+		// back to this server — but the session backs off with an escalating
+		// jittered pause so a congested server sees decaying retry pressure
+		// instead of an instant replay.
+		t.stats.BatchesShed++
+		pause := backoff.Policy{Base: time.Millisecond, Max: 50 * time.Millisecond}.Delay(s.shedStreak)
+		s.shedStreak++
+		s.pausedUntil = time.Now().Add(pause)
+	} else {
+		s.shedStreak = 0
+	}
+	if resp.Rejected {
+		// View mismatch (§3.2.1): the ops re-route under refreshed ownership.
+		t.stats.BatchesRejected++
+		t.refreshOwnership()
+	}
 	n := 0
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		op, ok := s.inflight[r.Seq]
-		if !ok {
-			continue
+	for k := range resp.Results {
+		r := &resp.Results[k]
+		i, ok := s.bySeq[r.Seq]
+		switch {
+		case !ok: // already answered, or settled by a recovery
+		case resp.Shed || resp.Rejected:
+			// Exactly the operations whose seqs the server echoed: a broader
+			// requeue would double-apply RMWs in flight in other batches.
+			t.requeue(i)
+		default:
+			t.complete(i, r.Status, r.Value)
+			n++
 		}
-		delete(s.inflight, r.Seq)
-		t.complete(op, r.Status, r.Value)
-		n++
+	}
+	if resp.Rejected {
+		// Anything still buffered was bucketed under the stale ownership: an
+		// op buffered for a server that just lost its range would otherwise
+		// be executed by a server that no longer owns the key.
+		for _, o := range t.sessions {
+			for k := range o.building.Ops {
+				if i, ok := o.bySeq[o.building.Ops[k].Seq]; ok {
+					t.requeue(i)
+				}
+			}
+			o.building.Ops = o.building.Ops[:0]
+			o.buildSz = 0
+		}
 	}
 	return n
-}
-
-// unbucketBuffered removes every session's not-yet-sent operations so they
-// can be re-routed under freshly refreshed ownership: an op buffered for a
-// server that just lost its range would otherwise be executed by a server
-// that no longer owns the key.
-func (t *Thread) unbucketBuffered() []queuedOp {
-	var out []queuedOp
-	for _, s := range t.sessions {
-		if len(s.building.Ops) == 0 {
-			continue
-		}
-		for _, wop := range s.building.Ops {
-			if op, ok := s.inflight[wop.Seq]; ok {
-				out = append(out, op)
-				delete(s.inflight, wop.Seq)
-			}
-		}
-		s.building.Ops = s.building.Ops[:0]
-		s.buildSz = 0
-	}
-	return out
-}
-
-func (t *Thread) issueRequeued(op queuedOp) {
-	t.stats.OpsIssued++
-	t.outstanding++
-	t.enqueue(op)
-}
-
-func (t *Thread) complete(op queuedOp, st wire.ResultStatus, v []byte) {
-	t.outstanding--
-	t.stats.OpsCompleted++
-	if op.cb != nil {
-		op.cb(st, v)
-	}
 }
 
 // Outstanding returns the number of issued-but-uncompleted operations.
@@ -461,8 +411,8 @@ func (t *Thread) Outstanding() int { return t.outstanding }
 // Stats returns a copy of the thread's counters.
 func (t *Thread) Stats() ThreadStats { return t.stats }
 
-// Drain flushes and polls until no operations are outstanding or the
-// timeout expires; returns true on full drain.
+// Drain polls (which also flushes) until no operations are outstanding or
+// the timeout expires; returns true on full drain.
 func (t *Thread) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for t.outstanding > 0 {
@@ -472,7 +422,6 @@ func (t *Thread) Drain(timeout time.Duration) bool {
 		if time.Now().After(deadline) {
 			return false
 		}
-		t.Flush()
 		if t.Poll() == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -482,9 +431,9 @@ func (t *Thread) Drain(timeout time.Duration) bool {
 
 // Close tears down all sessions. Every operation still outstanding —
 // buffered, in flight, or parked on a broken session — completes through its
-// callback with StatusClosed before Close returns, so an issued operation
-// always receives exactly one completion. Operations issued after Close fail
-// the same way immediately.
+// callback with StatusClosed, in issue order per session, before Close
+// returns, so an issued operation always receives exactly one completion.
+// Operations issued after Close fail the same way immediately.
 func (t *Thread) Close() {
 	if t.closed {
 		return
@@ -492,19 +441,7 @@ func (t *Thread) Close() {
 	t.closed = true
 	for _, s := range t.sessions {
 		s.conn.Close()
-		// Complete in sequence order: the order the ops were issued in.
-		seqs := make([]uint32, 0, len(s.inflight))
-		for seq := range s.inflight {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			op := s.inflight[seq]
-			delete(s.inflight, seq)
-			t.complete(op, wire.StatusClosed, nil)
-		}
-		s.building.Ops = s.building.Ops[:0]
-		s.buildSz = 0
+		t.settle(s, func(i int32) { t.complete(i, wire.StatusClosed, nil) })
 	}
 	t.sessions = map[string]*session{}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/transport"
@@ -20,13 +19,10 @@ import (
 // and reads above it are re-issued. The result is exactly-once semantics for
 // updates across a server crash without any server-side redo log.
 
-// RecoverSessions re-establishes every session against its (possibly
-// restarted) server and reconciles in-flight operations against the server's
-// durable session table: writes at or below the recovered sequence complete
-// immediately (durable; only the ack was lost), everything past it is
-// replayed in order. Responses still buffered on the old connection are
-// discarded — every affected operation is settled by the reconciliation,
-// exactly once.
+// RecoverSessions runs that protocol for every session, on a fresh connection
+// to its (possibly restarted) server; what is replayed is replayed in issue
+// order. Responses still buffered on the old connection are discarded — every
+// affected operation is settled by the reconciliation, exactly once.
 //
 // Call it after a server crash/restart (a session whose sends or receives
 // fail is also marked broken and stops transmitting until recovered). The
@@ -75,12 +71,7 @@ func (t *Thread) RecoverSessions(timeout time.Duration) error {
 		if err != nil {
 			return fail(fmt.Errorf("client: redialing %s: %w", id, err))
 		}
-		if err := conn.Send(wire.EncodeSessionRecover(
-			wire.SessionRecover{SessionID: s.id})); err != nil {
-			conn.Close()
-			return fail(fmt.Errorf("client: session-recover to %s: %w", id, err))
-		}
-		resp, err := awaitSessionRecoverResp(conn, s.id, deadline)
+		resp, err := recoverSession(conn, s.building.SessionID, deadline)
 		if err != nil {
 			conn.Close()
 			return fail(fmt.Errorf("client: session-recover to %s: %w", id, err))
@@ -89,7 +80,6 @@ func (t *Thread) RecoverSessions(timeout time.Duration) error {
 	}
 
 	// Phase 2: every server answered — adopt connections and reconcile.
-	var replay []queuedOp
 	for _, h := range handshakes {
 		s, resp := h.s, h.resp
 		// The session object (and its sequence counter) lives on.
@@ -97,54 +87,30 @@ func (t *Thread) RecoverSessions(timeout time.Duration) error {
 		s.conn = h.conn
 		s.broken = false
 		s.sentBatches = 0
-		s.building.Ops = s.building.Ops[:0]
-		s.buildSz = 0
-		if v, ok := t.ownership[s.serverID]; ok {
-			s.view = v
-		}
-
-		// Partition the in-flight set at the durable prefix, in sequence
-		// order so replay preserves the session's operation order.
-		seqs := make([]uint32, 0, len(s.inflight))
-		for seq := range s.inflight {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			op := s.inflight[seq]
-			delete(s.inflight, seq)
-			if resp.Known && seq <= resp.LastSeq && op.kind != wire.OpRead {
+		// Partition the session's operations at the durable prefix; settle
+		// walks in sequence order, so replay preserves the session's order.
+		t.settle(s, func(i int32) {
+			if o := &t.ops[i]; resp.Known && o.Seq <= resp.LastSeq && o.Kind != wire.OpRead {
 				// Durable before the crash; only the ack was lost. Complete
 				// without re-executing (re-running an RMW would double-apply).
 				// StatusOK is the status the server actually produced: in
 				// this store every write op completes OK (upserts are blind,
 				// deletes of absent keys write a tombstone and report OK,
 				// RMWs initialize absent keys) — only reads distinguish
-				// outcomes, and reads are re-executed below.
-				t.complete(op, wire.StatusOK, nil)
-				continue
+				// outcomes, and reads are re-executed.
+				t.complete(i, wire.StatusOK, nil)
+				return
 			}
-			replay = append(replay, op)
-		}
+			t.requeue(i)
+		})
 	}
 	for _, s := range retired {
 		s.conn.Close()
 		delete(t.sessions, s.serverID)
-		seqs := make([]uint32, 0, len(s.inflight))
-		for seq := range s.inflight {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			replay = append(replay, s.inflight[seq])
-			delete(s.inflight, seq)
-		}
+		t.settle(s, t.requeue)
 	}
-	for _, op := range replay {
-		t.outstanding-- // issueRequeued re-counts
-		t.stats.OpsIssued--
-		t.issueRequeued(op)
-	}
+	// Every session is on its new connection: the replays take their routes.
+	t.reroute()
 	t.Flush()
 	return nil
 }
@@ -177,26 +143,21 @@ func (t *Thread) FailBroken() int {
 		}
 		s.conn.Close()
 		delete(t.sessions, id)
-		seqs := make([]uint32, 0, len(s.inflight))
-		for seq := range s.inflight {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			op := s.inflight[seq]
-			delete(s.inflight, seq)
-			t.complete(op, wire.StatusBrokenSession, nil)
+		t.settle(s, func(i int32) {
+			t.complete(i, wire.StatusBrokenSession, nil)
 			n++
-		}
-		s.building.Ops = s.building.Ops[:0]
-		s.buildSz = 0
+		})
 	}
 	return n
 }
 
-// awaitSessionRecoverResp polls conn for the MsgSessionRecoverResp matching
-// sessionID, discarding unrelated frames, until deadline.
-func awaitSessionRecoverResp(conn transport.Conn, sessionID uint64, deadline time.Time) (wire.SessionRecoverResp, error) {
+// recoverSession asks the server on conn for sessionID's durable prefix and
+// polls for the matching MsgSessionRecoverResp, discarding unrelated frames,
+// until deadline.
+func recoverSession(conn transport.Conn, sessionID uint64, deadline time.Time) (wire.SessionRecoverResp, error) {
+	if err := conn.Send(wire.EncodeSessionRecover(wire.SessionRecover{SessionID: sessionID})); err != nil {
+		return wire.SessionRecoverResp{}, err
+	}
 	for {
 		frame, ok, err := conn.TryRecv()
 		if err != nil {

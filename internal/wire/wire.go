@@ -167,6 +167,10 @@ const (
 	respFlagShed     = 1 << 1
 )
 
+// OpHeaderBytes is the fixed part of one encoded request op — kind, seq,
+// klen(u16), vlen(u32) — ahead of its key and value.
+const OpHeaderBytes = 1 + 4 + 2 + 4
+
 // AppendRequestBatch encodes b after dst and returns the extended slice.
 // Layout: type, view, session, count, then per op: kind, seq, klen(u16),
 // vlen(u32), key, value.
@@ -197,7 +201,7 @@ func DecodeRequestBatch(buf []byte, b *RequestBatch) error {
 	d := open(buf, MsgRequestBatch)
 	b.View = d.u64()
 	b.SessionID = d.u64()
-	n := d.count(11) // kind+seq+klen+vlen
+	n := d.count(OpHeaderBytes)
 	if cap(b.Ops) < n {
 		b.Ops = make([]Op, n) //shadowfax:ignore hotpathalloc amortized: grows to the high-water batch size once, then the buffer is reused
 	}

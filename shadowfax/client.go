@@ -24,8 +24,7 @@ type Client struct {
 	next   atomic.Uint64 // round-robin shard picker
 
 	maxOutstanding int
-	pumped         bool
-	pumpStop       chan struct{}
+	pumpStop       chan struct{} // nil without WithBackgroundPump
 	pumpDone       chan struct{}
 	closed         atomic.Bool
 
@@ -116,7 +115,6 @@ func Dial(cluster *Cluster, opts ...DialOption) (*Client, error) {
 		c.shards = append(c.shards, &shard{t: th})
 	}
 	if dc.pump {
-		c.pumped = true
 		c.pumpStop = make(chan struct{})
 		c.pumpDone = make(chan struct{})
 		go c.pumpLoop()
@@ -140,13 +138,7 @@ func (c *Client) newFuture(sh *shard) *Future {
 		f.cb = f.complete
 	}
 	f.sh = sh
-	f.status = wire.StatusOK
-	f.val = f.val[:0]
-	f.done.Store(false)
-	select {
-	case <-f.ch: // drop any stale token from an abandoned lifetime
-	default:
-	}
+	f.state.Store(futArmed)
 	return f
 }
 
@@ -159,17 +151,16 @@ func (c *Client) issue(ctx context.Context, kind wire.OpKind, key, value []byte,
 	sh := c.pick()
 	f := c.newFuture(sh)
 	sh.mu.Lock()
-	c.backpressureLocked(ctx, sh)
-	switch kind {
-	case wire.OpRead:
-		sh.t.Read(key, f.cb) //nolint:errcheck // issue failures complete f via the callback
-	case wire.OpUpsert:
-		sh.t.Upsert(key, value, f.cb) //nolint:errcheck
-	case wire.OpRMW:
-		sh.t.RMW(key, value, f.cb) //nolint:errcheck
-	case wire.OpDelete:
-		sh.t.Delete(key, f.cb) //nolint:errcheck
+	// WithMaxOutstanding: drive the shard until there is room. Flow control is
+	// advisory — when the client closes (Close settles the ops) or ctx is done
+	// (a synchronous caller's deadline) the operation is issued anyway, so the
+	// caller's Wait can surface the context error instead of wedging here.
+	for sh.t.Outstanding() >= c.maxOutstanding && !c.closed.Load() && ctx.Err() == nil {
+		sh.mu.Unlock()
+		sh.drive(20 * time.Microsecond)
+		sh.mu.Lock()
 	}
+	sh.t.Issue(kind, key, value, f.cb) //nolint:errcheck // issue failures complete f via the callback
 	if flush {
 		sh.t.Flush()
 	}
@@ -177,35 +168,27 @@ func (c *Client) issue(ctx context.Context, kind wire.OpKind, key, value []byte,
 	return f
 }
 
-// backpressureLocked enforces WithMaxOutstanding: the caller holds sh.mu.
-// Flow control is advisory — when ctx is done (a synchronous caller's
-// deadline) the wait stops and the operation is issued anyway, so the
-// caller's Wait can surface the context error instead of wedging here.
-func (c *Client) backpressureLocked(ctx context.Context, sh *shard) {
-	for sh.t.Outstanding() >= c.maxOutstanding {
-		if c.closed.Load() {
-			return // Close is waiting for the lock; let it settle the ops
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		sh.t.Flush()
-		if sh.t.Poll() == 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
-
-// step drives one flush+poll iteration on a shard (used by waiters when no
-// background pump runs).
-func (c *Client) step(sh *shard) {
+// drive is the one place a shard's thread is flushed and polled — by the
+// pump, by waiters when no pump runs, by back-pressure, Drain and Flush. It
+// returns the number of operations completed, after sleeping for idle if none.
+func (sh *shard) drive(idle time.Duration) int {
 	sh.mu.Lock()
 	sh.t.Flush()
 	n := sh.t.Poll()
 	sh.mu.Unlock()
 	if n == 0 {
-		time.Sleep(20 * time.Microsecond)
+		time.Sleep(idle)
 	}
+	return n
+}
+
+// driveAll drives every shard once.
+func (c *Client) driveAll() int {
+	n := 0
+	for _, sh := range c.shards {
+		n += sh.drive(0)
+	}
+	return n
 }
 
 func (c *Client) pumpLoop() {
@@ -216,14 +199,7 @@ func (c *Client) pumpLoop() {
 			return
 		default:
 		}
-		progress := 0
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			sh.t.Flush()
-			progress += sh.t.Poll()
-			sh.mu.Unlock()
-		}
-		if progress == 0 {
+		if c.driveAll() == 0 {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
@@ -255,14 +231,12 @@ func (c *Client) DeleteAsync(key []byte) *Future {
 // ErrNotFound.
 func (c *Client) Get(ctx context.Context, key []byte) ([]byte, error) {
 	f := c.issue(ctx, wire.OpRead, key, nil, true)
+	defer f.Release()
 	v, err := f.Wait(ctx)
 	if err != nil {
-		f.Release()
 		return nil, err
 	}
-	out := append([]byte(nil), v...)
-	f.Release()
-	return out, nil
+	return append([]byte(nil), v...), nil
 }
 
 // Set writes value under key (blind upsert).
@@ -289,28 +263,15 @@ func (c *Client) waitRelease(ctx context.Context, f *Future) error {
 }
 
 // Flush pushes every shard's partial batches to the wire.
-func (c *Client) Flush() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.t.Flush()
-		sh.mu.Unlock()
-	}
-}
+func (c *Client) Flush() { c.driveAll() }
 
 // Drain flushes and polls until no operations are outstanding or ctx is
 // done. The context is observed every iteration, even while completions keep
 // arriving.
 func (c *Client) Drain(ctx context.Context) error {
 	for {
-		outstanding, progress := 0, 0
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			sh.t.Flush()
-			progress += sh.t.Poll()
-			outstanding += sh.t.Outstanding()
-			sh.mu.Unlock()
-		}
-		if outstanding == 0 {
+		progress := c.driveAll()
+		if c.Outstanding() == 0 {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -322,29 +283,24 @@ func (c *Client) Drain(ctx context.Context) error {
 	}
 }
 
-// Outstanding returns the number of issued-but-uncompleted operations across
-// all shards.
-func (c *Client) Outstanding() int {
+// sum adds up one per-thread quantity across the shards, under their locks.
+func (c *Client) sum(of func(*client.Thread) int) int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		n += sh.t.Outstanding()
+		n += of(sh.t)
 		sh.mu.Unlock()
 	}
 	return n
 }
 
+// Outstanding returns the number of issued-but-uncompleted operations across
+// all shards.
+func (c *Client) Outstanding() int { return c.sum((*client.Thread).Outstanding) }
+
 // BrokenSessions reports how many server connections died and await
 // RecoverSessions.
-func (c *Client) BrokenSessions() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.t.BrokenSessions()
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (c *Client) BrokenSessions() int { return c.sum((*client.Thread).BrokenSessions) }
 
 // FailBrokenSessions gives up on every broken session across the client's
 // shards: parked operations complete with ErrSessionBroken (their Futures
@@ -355,15 +311,7 @@ func (c *Client) BrokenSessions() int {
 // ErrSessionBroken write may or may not have executed; exactly-once holds
 // only for operations reconciled through RecoverSessions. Returns the number
 // of operations failed.
-func (c *Client) FailBrokenSessions() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.t.FailBroken()
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (c *Client) FailBrokenSessions() int { return c.sum((*client.Thread).FailBroken) }
 
 // RecoverSessions reconciles every session against its (possibly restarted)
 // server: operations at or below the server's durable prefix complete
@@ -381,9 +329,7 @@ func (c *Client) RecoverSessions(ctx context.Context) error {
 		}
 		timeout := 5 * time.Second
 		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); rem < timeout {
-				timeout = rem
-			}
+			timeout = min(timeout, time.Until(dl))
 		}
 		sh.mu.Lock()
 		err := sh.t.RecoverSessions(timeout)
@@ -397,19 +343,13 @@ func (c *Client) RecoverSessions(ctx context.Context) error {
 
 // Stats aggregates the client's counters across its shards.
 func (c *Client) Stats() ClientStats {
-	var out ClientStats
+	var out client.ThreadStats
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		st := sh.t.Stats()
+		out.Add(sh.t.Stats())
 		sh.mu.Unlock()
-		out.OpsIssued += st.OpsIssued
-		out.OpsCompleted += st.OpsCompleted
-		out.BatchesSent += st.BatchesSent
-		out.BatchesRejected += st.BatchesRejected
-		out.BatchesShed += st.BatchesShed
-		out.Refreshes += st.Refreshes
 	}
-	return out
+	return ClientStats(out)
 }
 
 // Close stops the pump and tears down every session. Outstanding operations

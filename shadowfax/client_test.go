@@ -495,3 +495,97 @@ func TestOversizedRecordFailsPromptly(t *testing.T) {
 		t.Fatal("Server.Close did not return")
 	}
 }
+
+// TestFutureStaleHandle pins the Future contract the pooled design leans on.
+// A Wait that gave up leaves a handle whose operation completes later and
+// whose client-thread slot is then recycled by a new operation: the stale
+// handle must still answer for its own operation only, and releasing it must
+// not disturb the new one.
+func TestFutureStaleHandle(t *testing.T) {
+	cluster, _ := testCluster(t)
+	cl, err := Dial(cluster) // no pump: nothing moves unless someone drives
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+
+	if err := cl.Set(ctx, []byte("b"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	stale := cl.GetAsync([]byte("missing"))
+	if _, err := stale.Wait(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait on a cancelled context = %v, want Canceled", err)
+	}
+	// The operation completes later, driven by someone else's Wait...
+	if err := cl.Set(ctx, []byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	// ...and a new operation takes over its slot in the client thread.
+	fresh := cl.GetAsync([]byte("b"))
+	if fresh == stale {
+		t.Fatal("an unreleased Future was handed to a second operation")
+	}
+	if v, err := stale.Wait(ctx); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("stale handle answered %q, %v; want its own ErrNotFound", v, err)
+	}
+	stale.Release()
+	stale.Release()
+	if v, err := fresh.Wait(ctx); err != nil || string(v) != "2" {
+		t.Fatalf("fresh operation answered %q, %v after the stale handle's release", v, err)
+	}
+	fresh.Release()
+}
+
+// TestReleaseBeforeCompletion: Release on an in-flight Future (fire-and-forget,
+// or after a Wait that gave up) lets go of the handle; the completion recycles
+// it — the operation still executes, and nothing is left signalled.
+func TestReleaseBeforeCompletion(t *testing.T) {
+	t.Run("polled", func(t *testing.T) { releaseBeforeCompletion(t) })
+	t.Run("pumped", func(t *testing.T) { releaseBeforeCompletion(t, WithBackgroundPump()) })
+}
+
+func releaseBeforeCompletion(t *testing.T, opts ...DialOption) {
+	cluster, _ := testCluster(t)
+	cl, err := Dial(cluster, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+
+	f := cl.SetAsync([]byte("k"), []byte("v"))
+	f.Release()
+	if got := f.state.Load(); got != futReleased {
+		t.Fatalf("state after an early Release = %d, want released", got)
+	}
+	f.Release() // still a no-op
+	if err := cl.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.ch) != 0 || f.state.Load() == futDone {
+		t.Fatalf("completion of a released Future left it signalled (token %d, state %d)", len(f.ch), f.state.Load())
+	}
+	// Interleave fire-and-forget writes with waited reads: a handle recycled
+	// at completion must never deliver into a live one.
+	for i := 0; i < 200; i++ {
+		cl.SetAsync(k(i), val(i)).Release()
+		if i%4 == 3 {
+			g := cl.GetAsync([]byte("k"))
+			if v, err := g.Wait(ctx); err != nil || string(v) != "v" {
+				t.Fatalf("round %d: Get = %q, %v", i, v, err)
+			}
+			g.Release()
+		}
+	}
+	if err := cl.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i += 37 {
+		if v, err := cl.Get(ctx, k(i)); err != nil || !bytes.Equal(v, val(i)) {
+			t.Fatalf("fire-and-forget write %d: read back %q, %v", i, v, err)
+		}
+	}
+}
