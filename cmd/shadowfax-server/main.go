@@ -107,8 +107,10 @@ func main() {
 		}
 	}
 
+	// NetFree: the kernel's TCP stack is the network here; a Net* cost
+	// profile would busy-spin a simulated NIC on top of the real one.
 	clusterOpts := []shadowfax.ClusterOption{
-		shadowfax.WithTCPNetwork(shadowfax.NetAccelerated),
+		shadowfax.WithTCPNetwork(shadowfax.NetFree),
 	}
 	if *meta != "" {
 		clusterOpts = append(clusterOpts, shadowfax.WithRemoteMetadata(*meta))

@@ -41,7 +41,7 @@ func (a *Admin) roundTrip(ctx context.Context, addr string, req []byte, want wir
 	if err := conn.Send(req); err != nil {
 		return nil, err
 	}
-	return awaitFrame(ctx, conn, want)
+	return transport.AwaitFrame(conn, byte(want), time.Time{}, ctx.Err)
 }
 
 // rpc is roundTrip against a registered server ID.
@@ -51,27 +51,6 @@ func (a *Admin) rpc(ctx context.Context, serverID string, req []byte, want wire.
 		return nil, err
 	}
 	return a.roundTrip(ctx, addr, req, want)
-}
-
-// awaitFrame polls conn until a frame of type want arrives (unrelated frames
-// are discarded) or ctx is done.
-func awaitFrame(ctx context.Context, conn transport.Conn, want wire.MsgType) ([]byte, error) {
-	for {
-		frame, ok, err := conn.TryRecv()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if typ, _ := wire.PeekType(frame); typ == want {
-				return frame, nil
-			}
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
 }
 
 // Checkpoint asks serverID to take a durable checkpoint now and waits for

@@ -159,25 +159,13 @@ func recoverSession(conn transport.Conn, sessionID uint64, deadline time.Time) (
 		return wire.SessionRecoverResp{}, err
 	}
 	for {
-		frame, ok, err := conn.TryRecv()
+		frame, err := transport.AwaitFrame(conn, byte(wire.MsgSessionRecoverResp), deadline, nil)
 		if err != nil {
 			return wire.SessionRecoverResp{}, err
 		}
-		if ok {
-			if typ, _ := wire.PeekType(frame); typ == wire.MsgSessionRecoverResp {
-				resp, err := wire.DecodeSessionRecoverResp(frame)
-				if err != nil {
-					return wire.SessionRecoverResp{}, err
-				}
-				if resp.SessionID == sessionID {
-					return resp, nil
-				}
-			}
-			continue
+		resp, err := wire.DecodeSessionRecoverResp(frame)
+		if err != nil || resp.SessionID == sessionID {
+			return resp, err
 		}
-		if time.Now().After(deadline) {
-			return wire.SessionRecoverResp{}, fmt.Errorf("timed out awaiting session-recover response")
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }

@@ -427,7 +427,10 @@ func TestMigrationWithIndirectionRecords(t *testing.T) {
 	}
 }
 
-func TestMigrationRocksteadyBaseline(t *testing.T) {
+// A spilled source without a shared tier cannot leave indirection records
+// behind (the target could not resolve them), so it ships its stable region
+// by scanning its own device — the path is selected by the missing tier.
+func TestMigrationWithoutSharedTierScansDisk(t *testing.T) {
 	cl := newCluster()
 	dev := storage.NewMemDevice(storage.LatencyModel{}, 4)
 	src, err := NewServer(ServerConfig{
@@ -436,10 +439,9 @@ func TestMigrationRocksteadyBaseline(t *testing.T) {
 		Store: faster.Config{
 			IndexBuckets: 1 << 10,
 			Log: hlog.Config{PageBits: 12, MemPages: 16, MutablePages: 8,
-				Device: dev, Tier: cl.tier, LogID: "src"},
+				Device: dev},
 		},
 		SampleDuration: 10 * time.Millisecond,
-		Rocksteady:     true,
 	}, metadata.FullRange)
 	if err != nil {
 		t.Fatal(err)
@@ -461,14 +463,11 @@ func TestMigrationRocksteadyBaseline(t *testing.T) {
 	waitMigrationsDone(t, cl.meta, 30*time.Second)
 
 	rep := src.LastMigrationReport()
-	if !rep.Rocksteady {
-		t.Fatal("report not marked Rocksteady")
-	}
 	if rep.IndirectionsSent != 0 {
-		t.Fatal("Rocksteady mode must not emit indirection records")
+		t.Fatal("a source without a shared tier must not emit indirection records")
 	}
 	if rep.DiskScanRecords == 0 {
-		t.Fatal("Rocksteady disk scan shipped nothing")
+		t.Fatal("disk scan shipped nothing")
 	}
 	verifyKeys(t, ct, n)
 }
@@ -536,25 +535,6 @@ func waitMigrationsDone(t *testing.T, meta *metadata.Store, timeout time.Duratio
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-func TestHashValidationBaseline(t *testing.T) {
-	cl := newCluster()
-	s := cl.newServer(t, "s1", 2, metadata.FullRange)
-	s.SetHashValidation(true)
-	ct := cl.newClient(t)
-
-	const n = 200
-	for i := uint64(0); i < n; i++ {
-		ct.RMW(ycsb.KeyBytes(i), d8(1), nil)
-	}
-	if !ct.Drain(10 * time.Second) {
-		t.Fatal("drain under hash validation timed out")
-	}
-	if s.Stats().BatchesAccepted.Load() == 0 {
-		t.Fatal("no batches accepted under hash validation")
-	}
-	s.SetHashValidation(false)
 }
 
 func TestCompactedRecordRelocation(t *testing.T) {

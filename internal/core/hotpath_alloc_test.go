@@ -10,11 +10,7 @@
 // assists). Excluded under -race: instrumentation allocates.
 package core_test
 
-import (
-	"testing"
-
-	"repro/internal/bench"
-)
+import "testing"
 
 // allocBudgetPerBatch is the per-batch (64 ops) allowance. The steady state
 // measures 2 (the in-process transport copies one request and one response
@@ -22,43 +18,37 @@ import (
 // invariant broke.
 const allocBudgetPerBatch = 8
 
-func hotPathAllocs(t *testing.T, mix bench.HotPathMix, valueBytes int) float64 {
+func hotPathAllocs(t *testing.T, mix hotPathMix, valueBytes int) float64 {
 	t.Helper()
 	// Dataset sized well inside the mutable region so upserts update in
 	// place and nothing rolls pages mid-measurement.
-	h, err := bench.NewHotPathHarness(bench.Options{
-		Keys: 5_000, ValueBytes: valueBytes, BatchOps: 64, MemPages: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.Close)
+	d := newHotPathDriver(t, 5_000, valueBytes, 64)
 	// Warm lazily-grown buffers (arena, results, response path, session
 	// table entry) out of the measurement.
 	for i := 0; i < 10; i++ {
-		if err := h.RunBatch(mix); err != nil {
+		if err := d.runBatch(mix); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return testing.AllocsPerRun(100, func() {
-		if err := h.RunBatch(mix); err != nil {
+		if err := d.runBatch(mix); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 func TestHotPathReadAllocBudget(t *testing.T) {
-	got := hotPathAllocs(t, bench.HotPathRead, 64)
+	got := hotPathAllocs(t, hotPathRead, 64)
 	if got > allocBudgetPerBatch {
 		t.Fatalf("in-memory read batch: %.1f allocs per %d-op batch, budget %d",
-			got, 64, allocBudgetPerBatch)
+			got, hotPathBatchOps, allocBudgetPerBatch)
 	}
 }
 
 func TestHotPathUpsertAllocBudget(t *testing.T) {
-	got := hotPathAllocs(t, bench.HotPathUpsert, 64)
+	got := hotPathAllocs(t, hotPathUpsert, 64)
 	if got > allocBudgetPerBatch {
 		t.Fatalf("in-place upsert batch: %.1f allocs per %d-op batch, budget %d",
-			got, 64, allocBudgetPerBatch)
+			got, hotPathBatchOps, allocBudgetPerBatch)
 	}
 }

@@ -25,7 +25,7 @@ const (
 	phasePrepare
 	phaseTransfer
 	phaseMigrate
-	phaseDiskScan // Rocksteady baseline only
+	phaseDiskScan // only on a source with no shared tier (afterCollection)
 	phaseComplete
 )
 
@@ -50,8 +50,8 @@ func (p migPhase) String() string {
 	}
 }
 
-// MigrationReport summarizes a finished outbound migration (the harness
-// prints Figure 13 from these numbers).
+// MigrationReport summarizes a finished outbound migration (the quantities
+// of the paper's Figures 13 and 14).
 type MigrationReport struct {
 	ID               uint64
 	Range            metadata.HashRange
@@ -63,8 +63,7 @@ type MigrationReport struct {
 	RecordsSent      uint64
 	IndirectionsSent uint64
 	BytesFromMemory  uint64
-	DiskScanRecords  uint64
-	Rocksteady       bool
+	DiskScanRecords  uint64 // > 0: the source had no shared tier and scanned its device
 }
 
 // sourceMigration is the source-side state machine.
@@ -173,8 +172,7 @@ func (s *Server) StartMigration(target string, rng metadata.HashRange) (uint64, 
 		s: s, mig: mig, rng: rng, newView: newSrc,
 		target: target, tgtAddr: tgtAddr,
 	}
-	sm.report = MigrationReport{ID: mig.ID, Range: rng, Started: time.Now(),
-		Rocksteady: s.cfg.Rocksteady}
+	sm.report = MigrationReport{ID: mig.ID, Range: rng, Started: time.Now()}
 	sm.phase.Store(int32(phaseSampling))
 	sm.sampleCut = s.store.Log().TailAddress()
 	s.source = sm
@@ -182,12 +180,10 @@ func (s *Server) StartMigration(target string, rng metadata.HashRange) (uint64, 
 
 	// Sampling step 2: force accessed records in the migrating range below
 	// the cut to be copied to the tail.
-	if !s.cfg.DisableSampling {
-		cut := sm.sampleCut
-		s.store.SetSampleFilter(func(hash uint64, addr hlog.Address) bool {
-			return addr < cut && rng.Contains(hash)
-		})
-	}
+	cut := sm.sampleCut
+	s.store.SetSampleFilter(func(hash uint64, addr hlog.Address) bool {
+		return addr < cut && rng.Contains(hash)
+	})
 
 	// The phase sequence advances on global cuts; the sampling window gets
 	// a wall-clock floor so accesses can accumulate hot records.
@@ -272,13 +268,11 @@ func (sm *sourceMigration) afterViewCut() {
 		})
 		return true
 	}}
-	if !s.cfg.DisableSampling {
-		// The hot records accumulated above the sampling cut.
-		sess := s.fetchAux.acquire(s.store)
-		sess.CollectSampled(sm.sampleCut, sm.rng.Start, sm.rng.End, sampleLimit,
-			func(rec faster.CollectedRecord) { out.add(rec) })
-		s.fetchAux.release()
-	}
+	// The hot records accumulated above the sampling cut.
+	sess := s.fetchAux.acquire(s.store)
+	sess.CollectSampled(sm.sampleCut, sm.rng.Start, sm.rng.End, sampleLimit,
+		func(rec faster.CollectedRecord) { out.add(rec) })
+	s.fetchAux.release()
 	s.store.SetSampleFilter(nil)
 	out.flush(true)
 	// Migrate phase: dispatchers pick up collection work from the cursor.
@@ -331,7 +325,7 @@ func (s *Server) sourceMigrationStep(d *dispatcher) bool {
 	// silently deleting every key whose chain lives below this server's head
 	// (after a crash-recovery that is the entire recovered range). Fall back
 	// to the Rocksteady-style on-device scan instead (afterCollection).
-	useIndirections := !s.cfg.Rocksteady && s.store.Log().Tier() != nil
+	useIndirections := s.store.Log().Tier() != nil
 	ix.ForEachEntryInBuckets(b0, end, func(bucket uint64, slot faster.IndexSlot) bool {
 		d.sess.CollectChain(bucket, slot, sm.rng.Start, sm.rng.End,
 			useIndirections, seen, func(rec faster.CollectedRecord) {
@@ -384,18 +378,18 @@ func (sm *sourceMigration) sendRecords(c transport.Conn, recs []wire.MigrationRe
 	return c.Send(wire.EncodeMigrationMsg(&msg)) == nil
 }
 
-// afterCollection runs once every thread finished the Migrate phase: the
-// Rocksteady baseline scans the on-SSD log single-threaded; the Shadowfax
-// path (indirection records) is already done.
+// afterCollection runs once every thread finished the Migrate phase. With a
+// shared tier the indirection records already cover everything below head;
+// without one the stable region is still to ship (diskScan).
 func (sm *sourceMigration) afterCollection() {
 	sm.awaitFinalAcks()
 	sm.reportMu.Lock()
 	sm.report.RecordsDone = time.Now()
 	sm.reportMu.Unlock()
-	if sm.s.cfg.Rocksteady || sm.s.store.Log().Tier() == nil {
+	if sm.s.store.Log().Tier() == nil {
 		// No shared tier means the memory pass shipped no indirection
 		// records for the chains below head; ship the on-device suffix
-		// directly, as the Rocksteady baseline does.
+		// directly, as Rocksteady does (§4.1).
 		sm.phase.Store(int32(phaseDiskScan))
 		sm.diskScan()
 	}
@@ -429,23 +423,16 @@ func (sm *sourceMigration) awaitFinalAcks() {
 // metadata dependency can still be collected).
 const migrationAckTimeout = 30 * time.Second
 
-// awaitAck polls conn for one frame (the migration ack) until deadline.
+// awaitAck waits on conn for the target's MsgAck until deadline; a dead
+// connection ends the wait as the deadline does (see migrationAckTimeout).
 func awaitAck(conn transport.Conn, deadline time.Time) {
-	for {
-		if _, ok, err := conn.TryRecv(); ok || err != nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	_, _ = transport.AwaitFrame(conn, byte(wire.MsgAck), deadline, nil)
 }
 
-// diskScan is the second phase for sources that cannot leave indirection
-// records behind (the Rocksteady baseline, or a Shadowfax node with no shared
-// tier): a single thread ships the live records of the migrating range from
-// the stable region on the local SSD, newest first (Store.CollectStable).
+// diskScan is the second phase for a source that cannot leave indirection
+// records behind because it has no shared tier (Rocksteady's scan-the-log
+// migration): a single thread ships the live records of the migrating range
+// from the stable region on the local SSD, newest first (Store.CollectStable).
 func (sm *sourceMigration) diskScan() {
 	conn, err := sm.s.cfg.Transport.Dial(sm.tgtAddr)
 	if err != nil {

@@ -830,19 +830,8 @@ func (s *Server) probeAlive(addr string, timeout time.Duration) bool {
 	if err := c.Send(wire.EncodeStatsReq()); err != nil {
 		return false
 	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		frame, ok, err := c.TryRecv()
-		if err != nil {
-			return false
-		}
-		if ok {
-			t, perr := wire.PeekType(frame)
-			return perr == nil && t == wire.MsgStatsResp
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return false
+	_, err = transport.AwaitFrame(c, byte(wire.MsgStatsResp), time.Now().Add(timeout), nil)
+	return err == nil
 }
 
 var errStandby = errors.New("core: server is a standby replica")

@@ -163,12 +163,6 @@ type ServerConfig struct {
 	// SampleDuration is how long the Sampling phase lets accesses
 	// accumulate hot records before ownership transfer.
 	SampleDuration time.Duration
-	// Rocksteady selects the baseline migration mode (§4.1): no
-	// indirection records; after the memory pass a single thread scans the
-	// on-SSD log and ships cold records.
-	Rocksteady bool
-	// DisableSampling turns off hot-record shipping (Figure 14 baseline).
-	DisableSampling bool
 }
 
 func (c *ServerConfig) applyDefaults() error {
@@ -267,10 +261,6 @@ type Server struct {
 	threads  []*dispatcher
 	stopping atomic.Bool
 	wg       sync.WaitGroup
-
-	// validation selects batch-level view validation (the Shadowfax way)
-	// or per-key hash validation (the Figure 15 baseline).
-	hashValidate atomic.Bool
 
 	// migMu guards the migration registries below. Dispatchers take it on
 	// every batch (refreshView) and must never wait on a provider call or
@@ -624,10 +614,6 @@ func (s *Server) Addr() string { return s.listener.Addr() }
 // CurrentView returns the server's active ownership view.
 func (s *Server) CurrentView() metadata.View { return s.view.Load().Clone() }
 
-// SetHashValidation switches the server to the per-key ownership validation
-// baseline (Figure 15); false restores view validation.
-func (s *Server) SetHashValidation(on bool) { s.hashValidate.Store(on) }
-
 // Close stops dispatchers and shuts the store down.
 func (s *Server) Close() error {
 	if s.stopping.Swap(true) {
@@ -648,25 +634,6 @@ func (s *Server) Close() error {
 	s.compactMu.Lock()
 	s.compactMu.Unlock() // empty critical section is the point (see the SA2001 file-ignore)
 	return s.store.Close()
-}
-
-// ownsBinary reports range membership via binary search over the sorted
-// range list — the per-key ownership check Shadowfax's views replace.
-func ownsBinary(ranges []metadata.HashRange, h uint64) bool {
-	lo, hi := 0, len(ranges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r := ranges[mid]
-		switch {
-		case h < r.Start:
-			hi = mid
-		case h >= r.End:
-			lo = mid + 1
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // acceptLoop distributes inbound connections round-robin across dispatcher
@@ -1197,18 +1164,7 @@ func (d *dispatcher) handleRequestBatch(c transport.Conn, frame []byte) {
 		return
 	}
 	view := d.s.view.Load()
-
-	if d.s.hashValidate.Load() {
-		// Figure 15 baseline: hash every key and look it up in the sorted
-		// owned-range list (O(log P) per key, the paper's trie analogue).
-		for i := range b.Ops {
-			h := faster.HashOf(b.Ops[i].Key)
-			if !ownsBinary(view.Ranges, h) {
-				d.reject(c, b, view.Number)
-				return
-			}
-		}
-	} else if b.View != view.Number {
+	if b.View != view.Number {
 		// The Shadowfax check: one integer comparison per batch (§3.2).
 		// On mismatch the server refreshes its own view from the metadata
 		// store (it may itself be behind) and rejects the batch.

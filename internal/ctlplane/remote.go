@@ -170,7 +170,10 @@ func (p *RemoteProvider) do(req *wire.MetaReq) (wire.MetaResp, error) {
 			lastErr = err
 			continue
 		}
-		respFrame, err := p.await(wire.MsgMetaResp)
+		// The connection is private to the provider, so no other frame type
+		// is expected on it.
+		respFrame, err := transport.AwaitFrame(p.conn, byte(wire.MsgMetaResp),
+			time.Now().Add(p.opts.Timeout), nil)
 		if err != nil {
 			p.conn.Close()
 			p.conn = nil
@@ -213,29 +216,6 @@ func (p *RemoteProvider) DegradedSince() time.Time {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
 	return p.degradedSince
-}
-
-// await polls the connection for a frame of the wanted type until Timeout;
-// unrelated frames are discarded (the connection is private to the
-// provider, so none are expected).
-func (p *RemoteProvider) await(want wire.MsgType) ([]byte, error) {
-	deadline := time.Now().Add(p.opts.Timeout)
-	for {
-		frame, ok, err := p.conn.TryRecv()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if typ, _ := wire.PeekType(frame); typ == want {
-				return frame, nil
-			}
-			continue
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("ctlplane: metadata RPC timed out after %v", p.opts.Timeout)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
 }
 
 // absorb folds a response's snapshot into the cache and wakes watchers on a

@@ -45,11 +45,17 @@ type CheckpointInfo struct {
 // filters the fuzzy log to exactly that version prefix, so the two sections
 // agree record-for-record.
 func (s *Store) CheckpointCut(w io.Writer, onCut func(sealed uint32), done func(CheckpointInfo, error)) {
+	// The image records the begin address as of the cut, not as of the
+	// write. A compaction pass that truncates in between has copied its
+	// live records forward stamped sealed+1; recovery filters those out and
+	// falls back to the originals, which a later begin would put out of
+	// reach (the keys would recover as NotFound).
+	begin := s.log.BeginAddress()
 	s.SealVersion(func(sealed uint32, cutTail hlog.Address) {
 		if onCut != nil {
 			onCut(sealed)
 		}
-		done(s.writeCheckpoint(sealed, cutTail, w))
+		done(s.writeCheckpoint(sealed, cutTail, begin, w))
 	})
 }
 
@@ -67,7 +73,7 @@ func (s *Store) CheckpointSync(w io.Writer) (CheckpointInfo, error) {
 	return r.info, r.err
 }
 
-func (s *Store) writeCheckpoint(sealed uint32, cutTail hlog.Address, w io.Writer) (CheckpointInfo, error) {
+func (s *Store) writeCheckpoint(sealed uint32, cutTail, begin hlog.Address, w io.Writer) (CheckpointInfo, error) {
 	lg := s.log
 	tail := lg.TailAddress()
 
@@ -93,14 +99,20 @@ func (s *Store) writeCheckpoint(sealed uint32, cutTail hlog.Address, w io.Writer
 	tailPageStart := hlog.Address(tailPage << pageBits)
 	partial := lg.NewPageBuffer()
 	if tail > tailPageStart {
-		if !lg.FrameSnapshot(tailPage, partial) {
+		// Epoch protection pins every page at or above the head in its
+		// frame; without it a tiny memory budget lets writers lap the
+		// buffer and roll() zero this frame under the copy.
+		g := s.epoch.Register()
+		ok := lg.InMemory(tailPageStart) && lg.FrameSnapshot(tailPage, partial)
+		g.Unregister()
+		if !ok {
 			return CheckpointInfo{}, fmt.Errorf("faster: tail page %d not resident", tailPage)
 		}
 	}
 	partial = partial[:tail-tailPageStart]
 
 	info := CheckpointInfo{
-		Version: sealed, Tail: tail, Begin: lg.BeginAddress(),
+		Version: sealed, Tail: tail, Begin: begin,
 		PageBits: pageBits, IndexSize: idx.Len(),
 	}
 
@@ -108,7 +120,7 @@ func (s *Store) writeCheckpoint(sealed uint32, cutTail hlog.Address, w io.Writer
 	binary.LittleEndian.PutUint32(hdr[0:4], checkpointMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], sealed)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(tail))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(lg.BeginAddress()))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(begin))
 	binary.LittleEndian.PutUint32(hdr[24:28], uint32(pageBits))
 	binary.LittleEndian.PutUint64(hdr[28:36], uint64(idx.Len()))
 	binary.LittleEndian.PutUint64(hdr[36:44], uint64(len(partial)))

@@ -460,3 +460,67 @@ func BenchmarkReadInMemory(b *testing.B) {
 		sess.Read(keys[i&(len(keys)-1)], nil)
 	}
 }
+
+// A compaction pass that lands between a checkpoint's cut and the writing of
+// its image copies live records forward stamped with the post-cut version,
+// which recovery filters out — so the image must carry the begin address of
+// the cut, or the pre-cut originals recovery falls back to are out of reach.
+func TestCheckpointBeginIsTheCutsAcrossCompaction(t *testing.T) {
+	s, dev := testStore(t)
+	sess := s.NewSession()
+	const n = 2500 // one live version per key, most of them on the device
+	for i := 0; i < n; i++ {
+		sess.Upsert(key(i), val(i), nil)
+	}
+	sess.Close()
+	lg := s.Log()
+	if lg.SafeHeadAddress() == 0 {
+		t.Fatal("nothing evicted; the test needs a stable region to compact")
+	}
+	cutBegin := lg.BeginAddress()
+
+	type result struct {
+		info CheckpointInfo
+		err  error
+	}
+	var blob bytes.Buffer
+	ch := make(chan result, 1)
+	s.CheckpointCut(&blob, func(uint32) {
+		// After every thread crossed the cut, before any image byte.
+		cs := s.NewSession()
+		defer cs.Close()
+		if st, err := cs.Compact(lg.SafeHeadAddress(), nil, nil); err != nil || st.Kept == 0 {
+			t.Errorf("compaction inside the checkpoint window copied nothing forward: %+v, %v", st, err)
+		}
+	}, func(info CheckpointInfo, err error) { ch <- result{info, err} })
+	s.Epoch().DrainPending()
+	res := <-ch
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if lg.BeginAddress() <= cutBegin {
+		t.Fatal("the pass did not truncate; the test proves nothing")
+	}
+	if res.info.Begin != cutBegin {
+		t.Fatalf("image begin %#x, want the cut's %#x (the log's is now %#x)",
+			uint64(res.info.Begin), uint64(cutBegin), uint64(lg.BeginAddress()))
+	}
+	s.Close() // "crash"
+
+	r, err := Recover(Config{
+		IndexBuckets: 1 << 10,
+		Log: hlog.Config{PageBits: 12, MemPages: 16, MutablePages: 8,
+			Device: dev, LogID: "test-store"},
+	}, bytes.NewReader(blob.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rs := r.NewSession()
+	defer rs.Close()
+	for i := 0; i < n; i++ {
+		if got, st := mustRead(t, rs, key(i)); st != StatusOK || !bytes.Equal(got, val(i)) {
+			t.Fatalf("key %d after recovery: %v %q", i, st, got)
+		}
+	}
+}

@@ -179,7 +179,7 @@ func collect(hash uint64, rec hlog.Record, live bool) CollectedRecord {
 // descends below the head address the walk stops and, if makeIndirection is
 // set, a single indirection record pointing at the remainder is emitted
 // (§3.3.2); otherwise the on-storage remainder is skipped (the caller ships
-// it separately with CollectStable, as the Rocksteady baseline does).
+// it separately with CollectStable, as Rocksteady does).
 //
 // bucket is the chain's main-bucket index (from ForEachEntryInBuckets); it
 // combines with the entry tag into a representative hash that reproduces the
@@ -261,7 +261,7 @@ func (sess *Session) CollectSampled(from hlog.Address, rangeStart, rangeEnd uint
 // the device-resident prefix [BeginAddress, SafeHeadAddress), strictly newest
 // first: pages in descending address order, each page's records in reverse.
 // It is the second pass for a source that cannot leave indirection records
-// behind (the Rocksteady baseline, or no shared tier; §4.1, Figure 10(c)).
+// behind because it has no shared tier (Rocksteady's scheme; §4.1).
 // The receiver installs with ConditionalInsert, which is first-writer-wins —
 // arriving oldest-first, a key whose only versions are on the device would be
 // resurrected at its oldest value. Only device pages are read, so no epoch

@@ -613,7 +613,7 @@ func (l *Log) ScanMemory(from, to Address, fn func(addr Address, r Record) bool)
 
 // ReadPageFromDevice fills buf (one page, from NewPageBuffer) with page p
 // from the local device. Used by the Rocksteady-style scan-the-log migration
-// baseline and by compaction.
+// pass (a source without a shared tier) and by compaction.
 func (l *Log) ReadPageFromDevice(p uint64, buf []byte) error {
 	return storage.SyncRead(l.cfg.Device, buf, p<<l.cfg.PageBits)
 }
@@ -715,7 +715,9 @@ func (l *Log) FlushUntil(addr Address) {
 
 // FrameSnapshot copies the resident bytes of page p into dst (page-sized,
 // 8-byte aligned, e.g. from NewPageBuffer). Returns false if the page is not
-// resident. The copy uses 8-byte atomic loads because the open page may be
+// resident. The caller holds epoch protection and has seen the page at or
+// above the head (InMemory), so the frame cannot be recycled under the copy.
+// The copy uses 8-byte atomic loads because the open page may be
 // receiving in-place updates concurrently (checkpoints are fuzzy at the
 // tail by design); torn words would corrupt record headers.
 func (l *Log) FrameSnapshot(p uint64, dst []byte) bool {

@@ -117,9 +117,8 @@ const balancerEvery = 150 * time.Millisecond
 // sweep. Kills pause and drain the load first (the harness gate); every
 // other fault lands under live traffic. The error return covers harness
 // failures (a server that cannot restart); correctness breaches land in
-// Result.Violations instead. Run doubles as the driver for the
-// shadowfax-bench "cluster" scenario, reporting aggregate throughput and the
-// peak migration concurrency the metadata store tracked.
+// Result.Violations instead. The Result also reports aggregate throughput
+// and the peak migration concurrency the metadata store tracked.
 func Run(cfg Config) (Result, error) {
 	cfg.withDefaults()
 	s := &clusterSoak{

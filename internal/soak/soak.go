@@ -34,13 +34,11 @@
 //
 //	cluster.go   — Run: N servers; kill/restart-with-recovery cycles,
 //	               migration cancels, forced concurrent migration pairs, live
-//	               overlapping-start attempts; also the shadowfax-bench
-//	               "cluster" scenario's driver
+//	               overlapping-start attempts
 //	failover.go  — RunFailover: a replicated pair; kill the primary, the
 //	               backup, or the primary racing its own restart
 //	partition.go — RunPartition: a replicated pair behind a chaos network;
-//	               standby partition, metadata partition, primary kill; the
-//	               shadowfax-bench "chaos" scenario's driver
+//	               standby partition, metadata partition, primary kill
 //
 // A fourth script is one more file of that shape: a config embedding Load,
 // a result embedding Outcome, a boot that fills harness.nodes and dials the

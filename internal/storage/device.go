@@ -20,7 +20,8 @@ import (
 // ErrClosed is returned for operations on a closed device.
 var ErrClosed = errors.New("storage: device closed")
 
-// ErrOutOfRange is returned when a read addresses bytes never written.
+// ErrOutOfRange is returned when a read addresses bytes never written or
+// since released through TruncateBefore.
 var ErrOutOfRange = errors.New("storage: read out of written range")
 
 // Device is an asynchronous block device. The HybridLog issues page-sized
@@ -31,7 +32,8 @@ type Device interface {
 	// WriteAt asynchronously writes p at byte offset off. p must not be
 	// modified until done runs.
 	WriteAt(p []byte, off uint64, done func(error))
-	// ReadAt asynchronously fills p from byte offset off.
+	// ReadAt asynchronously fills p from byte offset off; a range that is
+	// not wholly readable fails with ErrOutOfRange, never with partial data.
 	ReadAt(p []byte, off uint64, done func(error))
 	// Stats returns cumulative I/O counters.
 	Stats() DeviceStats
@@ -133,14 +135,23 @@ func (j ioJob) finish(err error) {
 	j.done(err)
 }
 
-// MemDevice is an in-memory Device standing in for the local SSD. Data is
-// held in fixed-size extents so the device can grow sparsely to any offset.
-type MemDevice struct {
-	model LatencyModel
+// backing is what differs between the devices: where the bytes live. The
+// engine has range-checked a read before it calls readAt.
+type backing interface {
+	writeAt(p []byte, off uint64) error
+	readAt(p []byte, off uint64) error
+}
 
-	mu      sync.RWMutex
-	extents map[uint64][]byte // extent index -> extentSize bytes
-	written uint64            // high-water mark of contiguously written bytes
+// ioEngine is everything MemDevice and FileDevice share: the job queue and
+// its workers (the simulated queue depth), the latency model and throttle,
+// the counters, and the one range check every read passes. The public types
+// embed it, so its exported methods are theirs.
+type ioEngine struct {
+	model LatencyModel
+	back  backing
+
+	written atomic.Uint64 // high-water mark of written bytes
+	trimmed atomic.Uint64 // bytes below this were released via TruncateBefore
 
 	jobs     chan ioJob
 	throttle *throttle
@@ -168,181 +179,160 @@ func (s *deviceStats) snapshot() DeviceStats {
 	}
 }
 
-const extentSize = 1 << 20 // 1 MiB extents
+// start wires the engine to its backing and launches the workers. workers
+// controls completion concurrency; values < 1 default to 4. written is the
+// size of what the backing already holds.
+func (e *ioEngine) start(back backing, model LatencyModel, workers int, written uint64) {
+	if workers < 1 {
+		workers = 4
+	}
+	e.model, e.back = model, back
+	e.written.Store(written)
+	e.jobs = make(chan ioJob, 1024)
+	e.throttle = newThrottle(model.IOPS, model.BytesPerSec)
+	for i := 0; i < workers; i++ {
+		e.wg.Add(1)
+		go e.worker()
+	}
+}
+
+func (e *ioEngine) worker() {
+	defer e.wg.Done()
+	for job := range e.jobs {
+		e.throttle.acquire(len(job.buf))
+		n := uint64(len(job.buf))
+		var err error
+		if job.write {
+			time.Sleep(e.model.WriteLatency)
+			if err = e.back.writeAt(job.buf, job.off); err == nil {
+				raise(&e.written, job.off+n)
+			}
+			e.stats.writes.Add(1)
+			e.stats.writtenBytes.Add(n)
+		} else {
+			time.Sleep(e.model.ReadLatency)
+			if err = e.checkRead(job.off, n); err == nil {
+				err = e.back.readAt(job.buf, job.off)
+			}
+			e.stats.reads.Add(1)
+			e.stats.readBytes.Add(n)
+		}
+		job.finish(err)
+	}
+}
+
+// checkRead is the one definition of a readable range, whatever holds the
+// bytes: it ends at or below the written mark and does not start in storage
+// TruncateBefore released. Without it a file answers the first with a bare
+// io.EOF and the second with zeros and a nil error, which a log scan parses
+// as an empty page.
+func (e *ioEngine) checkRead(off, n uint64) error {
+	if w := e.written.Load(); off+n > w {
+		return fmt.Errorf("%w: [%d,%d) beyond %d", ErrOutOfRange, off, off+n, w)
+	}
+	if t := e.trimmed.Load(); off < t {
+		return fmt.Errorf("%w: %d below trim point %d", ErrOutOfRange, off, t)
+	}
+	return nil
+}
+
+// raise lifts v to at least target (workers complete writes out of order).
+func raise(v *atomic.Uint64, target uint64) {
+	for {
+		cur := v.Load()
+		if target <= cur || v.CompareAndSwap(cur, target) {
+			return
+		}
+	}
+}
+
+// submit queues job for the workers, or fails it at once on a closed device.
+func (e *ioEngine) submit(job ioJob) {
+	if e.closed.Load() {
+		job.finish(ErrClosed)
+		return
+	}
+	e.jobs <- job
+}
+
+// WriteAt implements Device.
+func (e *ioEngine) WriteAt(p []byte, off uint64, done func(error)) {
+	e.submit(ioJob{write: true, buf: p, off: off, done: done})
+}
+
+// ReadAt implements Device.
+func (e *ioEngine) ReadAt(p []byte, off uint64, done func(error)) {
+	e.submit(ioJob{buf: p, off: off, done: done})
+}
+
+// ReadBatch implements BatchReader: the whole batch is enqueued in one pass,
+// each job carrying its index and the shared callback (no closure per read).
+func (e *ioEngine) ReadBatch(reqs []ReadReq, done func(int, error)) {
+	if !e.closed.Load() {
+		e.stats.batchReads.Add(1)
+	}
+	for i := range reqs {
+		e.submit(ioJob{buf: reqs[i].P, off: reqs[i].Off, idx: i, bdone: done})
+	}
+}
+
+// Stats implements Device.
+func (e *ioEngine) Stats() DeviceStats { return e.stats.snapshot() }
+
+// WrittenBytes returns the device's high-water mark.
+func (e *ioEngine) WrittenBytes() uint64 { return e.written.Load() }
+
+// shutdown stops the workers once in-flight operations have completed and
+// reports whether this call was the one that closed the device.
+func (e *ioEngine) shutdown() bool {
+	if e.closed.Swap(true) {
+		return false
+	}
+	close(e.jobs)
+	e.wg.Wait()
+	return true
+}
+
+// MemDevice is an in-memory Device standing in for the local SSD. Data is
+// held in fixed-size extents so the device can grow sparsely to any offset.
+type MemDevice struct {
+	ioEngine
+	ext extentMap
+}
 
 // NewMemDevice returns an in-memory device with the given performance model.
 // workers controls completion concurrency (the simulated queue depth);
 // values < 1 default to 4.
 func NewMemDevice(model LatencyModel, workers int) *MemDevice {
-	if workers < 1 {
-		workers = 4
-	}
-	d := &MemDevice{
-		model:    model,
-		extents:  make(map[uint64][]byte),
-		jobs:     make(chan ioJob, 1024),
-		throttle: newThrottle(model.IOPS, model.BytesPerSec),
-	}
-	for i := 0; i < workers; i++ {
-		d.wg.Add(1)
-		go d.worker()
-	}
+	d := &MemDevice{}
+	d.start(&d.ext, model, workers, 0)
 	return d
 }
 
-func (d *MemDevice) worker() {
-	defer d.wg.Done()
-	for job := range d.jobs {
-		d.throttle.acquire(len(job.buf))
-		if job.write {
-			if d.model.WriteLatency > 0 {
-				time.Sleep(d.model.WriteLatency)
-			}
-			d.doWrite(job.buf, job.off)
-			d.stats.writes.Add(1)
-			d.stats.writtenBytes.Add(uint64(len(job.buf)))
-			job.finish(nil)
-		} else {
-			if d.model.ReadLatency > 0 {
-				time.Sleep(d.model.ReadLatency)
-			}
-			err := d.doRead(job.buf, job.off)
-			d.stats.reads.Add(1)
-			d.stats.readBytes.Add(uint64(len(job.buf)))
-			job.finish(err)
-		}
-	}
-}
-
-func (d *MemDevice) doWrite(p []byte, off uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(p) > 0 {
-		ext := off / extentSize
-		within := off % extentSize
-		buf, ok := d.extents[ext]
-		if !ok {
-			buf = make([]byte, extentSize)
-			d.extents[ext] = buf
-		}
-		n := copy(buf[within:], p)
-		p = p[n:]
-		off += uint64(n)
-	}
-	if off > d.written {
-		d.written = off
-	}
-}
-
-func (d *MemDevice) doRead(p []byte, off uint64) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if off+uint64(len(p)) > d.written {
-		return fmt.Errorf("%w: [%d,%d) beyond %d", ErrOutOfRange,
-			off, off+uint64(len(p)), d.written)
-	}
-	for len(p) > 0 {
-		ext := off / extentSize
-		within := off % extentSize
-		buf, ok := d.extents[ext]
-		if !ok {
-			return fmt.Errorf("%w: hole at %d", ErrOutOfRange, off)
-		}
-		n := copy(p, buf[within:])
-		p = p[n:]
-		off += uint64(n)
-	}
-	return nil
-}
-
-// WriteAt implements Device.
-func (d *MemDevice) WriteAt(p []byte, off uint64, done func(error)) {
-	if d.closed.Load() {
-		done(ErrClosed)
-		return
-	}
-	d.jobs <- ioJob{write: true, buf: p, off: off, done: done}
-}
-
-// ReadAt implements Device.
-func (d *MemDevice) ReadAt(p []byte, off uint64, done func(error)) {
-	if d.closed.Load() {
-		done(ErrClosed)
-		return
-	}
-	d.jobs <- ioJob{buf: p, off: off, done: done}
-}
-
-// ReadBatch implements BatchReader: the whole batch is enqueued in one pass,
-// each job carrying its index and the shared callback (no closure per read).
-func (d *MemDevice) ReadBatch(reqs []ReadReq, done func(int, error)) {
-	if d.closed.Load() {
-		for i := range reqs {
-			done(i, ErrClosed)
-		}
-		return
-	}
-	d.stats.batchReads.Add(1)
-	for i := range reqs {
-		d.jobs <- ioJob{buf: reqs[i].P, off: reqs[i].Off, idx: i, bdone: done}
-	}
-}
-
 // WriteSync writes synchronously; a convenience for checkpoints and tests.
-func (d *MemDevice) WriteSync(p []byte, off uint64) error {
-	return waitIO(func(done func(error)) { d.WriteAt(p, off, done) })
-}
+func (d *MemDevice) WriteSync(p []byte, off uint64) error { return SyncWrite(d, p, off) }
 
 // ReadSync reads synchronously; a convenience for recovery and tests.
-func (d *MemDevice) ReadSync(p []byte, off uint64) error {
-	return waitIO(func(done func(error)) { d.ReadAt(p, off, done) })
-}
-
-// Stats implements Device.
-func (d *MemDevice) Stats() DeviceStats { return d.stats.snapshot() }
-
-// WrittenBytes returns the device's contiguous high-water mark.
-func (d *MemDevice) WrittenBytes() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.written
-}
+func (d *MemDevice) ReadSync(p []byte, off uint64) error { return SyncRead(d, p, off) }
 
 // AllocatedBytes returns the memory currently backing the device; compaction
 // tests watch it shrink after TruncateBefore.
-func (d *MemDevice) AllocatedBytes() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return uint64(len(d.extents)) * extentSize
-}
+func (d *MemDevice) AllocatedBytes() uint64 { return d.ext.allocated() }
 
 // TruncateBefore implements Truncator: extents wholly below off are dropped
-// and their memory released. A partial leading extent is kept (reads just
-// above off must keep working), so reclaim granularity is extentSize.
+// and their memory released (extentMap.dropBelow).
 func (d *MemDevice) TruncateBefore(off uint64) (uint64, error) {
 	if d.closed.Load() {
 		return 0, ErrClosed
 	}
-	d.mu.Lock()
-	var freed uint64
-	for ext := range d.extents {
-		if (ext+1)*extentSize <= off {
-			delete(d.extents, ext)
-			freed += extentSize
-		}
-	}
-	d.mu.Unlock()
+	freed := d.ext.dropBelow(off)
 	d.stats.trimmedBytes.Add(freed)
 	return freed, nil
 }
 
 // Close implements Device.
 func (d *MemDevice) Close() error {
-	if d.closed.Swap(true) {
-		return nil
-	}
-	close(d.jobs)
-	d.wg.Wait()
+	d.shutdown()
 	return nil
 }
 
@@ -384,30 +374,27 @@ func (t *throttle) acquire(bytes int) {
 	}
 	t.mu.Lock()
 	now := time.Now()
-	wait := time.Duration(0)
+	var wait time.Duration
 	if t.iops > 0 {
-		if t.nextOpAt.Before(now) {
-			t.nextOpAt = now
-		}
-		w := t.nextOpAt.Sub(now)
-		if w > wait {
-			wait = w
-		}
-		t.nextOpAt = t.nextOpAt.Add(time.Duration(float64(time.Second) / t.iops))
+		wait = reserve(&t.nextOpAt, now, time.Duration(float64(time.Second)/t.iops))
 	}
 	if t.bps > 0 && bytes > 0 {
-		if t.nextBytesAt.Before(now) {
-			t.nextBytesAt = now
-		}
-		w := t.nextBytesAt.Sub(now)
-		if w > wait {
+		cost := time.Duration(float64(bytes) / t.bps * float64(time.Second))
+		if w := reserve(&t.nextBytesAt, now, cost); w > wait {
 			wait = w
 		}
-		t.nextBytesAt = t.nextBytesAt.Add(
-			time.Duration(float64(bytes) / t.bps * float64(time.Second)))
 	}
 	t.mu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
+	time.Sleep(wait)
+}
+
+// reserve books cost on one dimension's timeline (*next is when it is free
+// again) and returns how long from now the booked slot starts.
+func reserve(next *time.Time, now time.Time, cost time.Duration) time.Duration {
+	if next.Before(now) {
+		*next = now
 	}
+	wait := next.Sub(now)
+	*next = next.Add(cost)
+	return wait
 }

@@ -3,34 +3,19 @@ package storage
 import (
 	"os"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // FileDevice is a file-backed Device; the durable variant of MemDevice used
 // when the stable region should survive process restarts (recovery tests and
 // the larger-than-memory example).
 type FileDevice struct {
-	model LatencyModel
-
-	mu      sync.RWMutex
-	f       *os.File
-	written uint64
-	trimmed uint64 // bytes below this released via TruncateBefore
-
-	jobs     chan ioJob
-	throttle *throttle
-	wg       sync.WaitGroup
-	closed   atomic.Bool
-
-	stats deviceStats
+	ioEngine
+	f      *os.File
+	trimMu sync.Mutex // serializes TruncateBefore
 }
 
 // NewFileDevice opens (creating if needed) a file-backed device at path.
 func NewFileDevice(path string, model LatencyModel, workers int) (*FileDevice, error) {
-	if workers < 1 {
-		workers = 4
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -40,130 +25,55 @@ func NewFileDevice(path string, model LatencyModel, workers int) (*FileDevice, e
 		f.Close()
 		return nil, err
 	}
-	d := &FileDevice{
-		model:    model,
-		f:        f,
-		written:  uint64(st.Size()),
-		jobs:     make(chan ioJob, 1024),
-		throttle: newThrottle(model.IOPS, model.BytesPerSec),
-	}
-	for i := 0; i < workers; i++ {
-		d.wg.Add(1)
-		go d.worker()
-	}
+	d := &FileDevice{f: f}
+	d.start(d, model, workers, uint64(st.Size()))
 	return d, nil
 }
 
-func (d *FileDevice) worker() {
-	defer d.wg.Done()
-	for job := range d.jobs {
-		d.throttle.acquire(len(job.buf))
-		if job.write {
-			if d.model.WriteLatency > 0 {
-				time.Sleep(d.model.WriteLatency)
-			}
-			_, err := d.f.WriteAt(job.buf, int64(job.off))
-			if err == nil {
-				d.mu.Lock()
-				if end := job.off + uint64(len(job.buf)); end > d.written {
-					d.written = end
-				}
-				d.mu.Unlock()
-			}
-			d.stats.writes.Add(1)
-			d.stats.writtenBytes.Add(uint64(len(job.buf)))
-			job.finish(err)
-		} else {
-			if d.model.ReadLatency > 0 {
-				time.Sleep(d.model.ReadLatency)
-			}
-			_, err := d.f.ReadAt(job.buf, int64(job.off))
-			d.stats.reads.Add(1)
-			d.stats.readBytes.Add(uint64(len(job.buf)))
-			job.finish(err)
-		}
-	}
+func (d *FileDevice) writeAt(p []byte, off uint64) error {
+	_, err := d.f.WriteAt(p, int64(off))
+	return err
 }
 
-// WriteAt implements Device.
-func (d *FileDevice) WriteAt(p []byte, off uint64, done func(error)) {
-	if d.closed.Load() {
-		done(ErrClosed)
-		return
-	}
-	d.jobs <- ioJob{write: true, buf: p, off: off, done: done}
-}
-
-// ReadAt implements Device.
-func (d *FileDevice) ReadAt(p []byte, off uint64, done func(error)) {
-	if d.closed.Load() {
-		done(ErrClosed)
-		return
-	}
-	d.jobs <- ioJob{buf: p, off: off, done: done}
-}
-
-// ReadBatch implements BatchReader (see MemDevice.ReadBatch).
-func (d *FileDevice) ReadBatch(reqs []ReadReq, done func(int, error)) {
-	if d.closed.Load() {
-		for i := range reqs {
-			done(i, ErrClosed)
-		}
-		return
-	}
-	d.stats.batchReads.Add(1)
-	for i := range reqs {
-		d.jobs <- ioJob{buf: reqs[i].P, off: reqs[i].Off, idx: i, bdone: done}
-	}
-}
-
-// Stats implements Device.
-func (d *FileDevice) Stats() DeviceStats { return d.stats.snapshot() }
-
-// WrittenBytes returns the file's high-water mark.
-func (d *FileDevice) WrittenBytes() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.written
+func (d *FileDevice) readAt(p []byte, off uint64) error {
+	_, err := d.f.ReadAt(p, int64(off))
+	return err
 }
 
 // AllocatedBytes returns the bytes of disk the backing file actually
 // occupies (not its logical size — punched holes don't count).
-func (d *FileDevice) AllocatedBytes() (uint64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return fileAllocatedBytes(d.f)
-}
+func (d *FileDevice) AllocatedBytes() (uint64, error) { return fileAllocatedBytes(d.f) }
 
 // TruncateBefore implements Truncator by punching a hole over [trimmed, off)
 // where the platform supports it (Linux fallocate). The file's logical size
 // is unchanged — offsets stay stable for the log's absolute addressing — but
 // the freed range stops occupying disk blocks. On platforms without hole
-// punching the call records the logical trim and frees nothing.
+// punching the call records the logical trim and frees nothing. Either way
+// reads starting below off fail from here on (ioEngine.checkRead); the trim
+// point is not persisted, so a reopened file reads punched bytes as zeros.
 func (d *FileDevice) TruncateBefore(off uint64) (uint64, error) {
 	if d.closed.Load() {
 		return 0, ErrClosed
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if off <= d.trimmed {
+	d.trimMu.Lock()
+	defer d.trimMu.Unlock()
+	trimmed := d.trimmed.Load()
+	if off <= trimmed {
 		return 0, nil
 	}
-	freed, err := punchHole(d.f, int64(d.trimmed), int64(off-d.trimmed))
+	freed, err := punchHole(d.f, int64(trimmed), int64(off-trimmed))
 	if err != nil {
 		return 0, err
 	}
-	d.trimmed = off
+	d.trimmed.Store(off)
 	d.stats.trimmedBytes.Add(freed)
 	return freed, nil
 }
 
 // Close implements Device.
 func (d *FileDevice) Close() error {
-	if d.closed.Swap(true) {
+	if !d.shutdown() {
 		return nil
 	}
-	close(d.jobs)
-	d.wg.Wait()
 	return d.f.Close()
 }

@@ -52,8 +52,7 @@ func OpenImageStore(dev Device) (*ImageStore, error) {
 	st := &ImageStore{dev: dev}
 	var sb [superblockSize]byte
 	if err := SyncRead(dev, sb[:], 0); err != nil {
-		if errors.Is(err, ErrOutOfRange) || errors.Is(err, io.EOF) ||
-			errors.Is(err, io.ErrUnexpectedEOF) {
+		if errors.Is(err, ErrOutOfRange) {
 			return st, nil // fresh device: nothing written yet
 		}
 		return nil, fmt.Errorf("storage: reading image superblock: %w", err)

@@ -30,9 +30,8 @@ type SharedTier struct {
 
 // blobLog is one server's uploaded log: a sparse extent map like MemDevice.
 type blobLog struct {
-	mu      sync.RWMutex
-	extents map[uint64][]byte
-	written uint64
+	extentMap
+	written atomic.Uint64 // high-water mark
 }
 
 // NewSharedTier returns an empty shared tier with the given model. The
@@ -58,7 +57,7 @@ func (t *SharedTier) log(id string) *blobLog {
 	if l, ok = t.logs[id]; ok {
 		return l
 	}
-	l = &blobLog{extents: make(map[uint64][]byte)}
+	l = &blobLog{}
 	t.logs[id] = l
 	return l
 }
@@ -76,23 +75,8 @@ func (t *SharedTier) Upload(logID string, p []byte, off uint64) error {
 		time.Sleep(t.model.WriteLatency)
 	}
 	l := t.log(logID)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(p) > 0 {
-		ext := off / extentSize
-		within := off % extentSize
-		buf, ok := l.extents[ext]
-		if !ok {
-			buf = make([]byte, extentSize)
-			l.extents[ext] = buf
-		}
-		n := copy(buf[within:], p)
-		p = p[n:]
-		off += uint64(n)
-	}
-	if off > l.written {
-		l.written = off
-	}
+	_ = l.writeAt(p, off) // an extent map write cannot fail
+	raise(&l.written, off+uint64(n))
 	t.stats.writes.Add(1)
 	t.stats.writtenBytes.Add(uint64(n))
 	return nil
@@ -116,22 +100,12 @@ func (t *SharedTier) Read(logID string, p []byte, off uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown log %q", ErrOutOfRange, logID)
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if off+uint64(len(p)) > l.written {
+	if written := l.written.Load(); off+uint64(n) > written {
 		return fmt.Errorf("%w: log %q [%d,%d) beyond %d", ErrOutOfRange,
-			logID, off, off+uint64(len(p)), l.written)
+			logID, off, off+uint64(n), written)
 	}
-	for len(p) > 0 {
-		ext := off / extentSize
-		within := off % extentSize
-		buf, ok := l.extents[ext]
-		if !ok {
-			return fmt.Errorf("%w: log %q hole at %d", ErrOutOfRange, logID, off)
-		}
-		n := copy(p, buf[within:])
-		p = p[n:]
-		off += uint64(n)
+	if err := l.readAt(p, off); err != nil {
+		return fmt.Errorf("log %q: %w", logID, err)
 	}
 	t.stats.reads.Add(1)
 	t.stats.readBytes.Add(uint64(n))
@@ -152,15 +126,7 @@ func (t *SharedTier) Truncate(logID string, off uint64) uint64 {
 	if !ok {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var freed uint64
-	for ext := range l.extents {
-		if (ext+1)*extentSize <= off {
-			delete(l.extents, ext)
-			freed += extentSize
-		}
-	}
+	freed := l.dropBelow(off)
 	t.stats.trimmedBytes.Add(freed)
 	return freed
 }
@@ -174,9 +140,7 @@ func (t *SharedTier) AllocatedBytes(logID string) uint64 {
 	if !ok {
 		return 0
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return uint64(len(l.extents)) * extentSize
+	return l.allocated()
 }
 
 // UploadedBytes returns logID's high-water mark (0 if the log is unknown).
@@ -187,9 +151,7 @@ func (t *SharedTier) UploadedBytes(logID string) uint64 {
 	if !ok {
 		return 0
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.written
+	return l.written.Load()
 }
 
 // Stats returns cumulative tier-wide counters.

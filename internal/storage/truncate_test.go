@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"testing"
 )
@@ -148,5 +149,67 @@ func TestSharedTierTruncate(t *testing.T) {
 	// Unknown logs free nothing.
 	if freed := tier.Truncate("nope", extentSize); freed != 0 {
 		t.Fatalf("unknown log freed %d", freed)
+	}
+}
+
+// TestDeviceReadRange pins the one definition of a readable range on both
+// backings: the same condition is the same typed error whether the bytes
+// live in extents or in a file. 2 MiB are written, the first MiB is trimmed.
+func TestDeviceReadRange(t *testing.T) {
+	const written, trim = 2 * extentSize, extentSize
+	devices := map[string]func(t *testing.T) Device{
+		"mem": func(*testing.T) Device { return NewMemDevice(LatencyModel{}, 2) },
+		"file": func(t *testing.T) Device {
+			d, err := NewFileDevice(filepath.Join(t.TempDir(), "range.dat"), LatencyModel{}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+	}
+	cases := []struct {
+		name   string
+		off, n uint64
+		ok     bool
+	}{
+		{"at the trim point", trim, 4096, true},
+		{"up to the written mark", written - 4096, 4096, true},
+		{"past the written mark", written, 4096, false},
+		{"straddling the written mark", written - 100, 4096, false},
+		{"below the trim point", 0, 4096, false},
+		{"from below the trim point across it", trim - 100, 4096, false},
+	}
+	page := make([]byte, 64<<10)
+	for i := range page {
+		page[i] = byte(i*5 + 1)
+	}
+	for name, open := range devices {
+		t.Run(name, func(t *testing.T) {
+			d := open(t)
+			defer d.Close()
+			if err := SyncRead(d, make([]byte, 8), 0); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("read of a fresh device: want ErrOutOfRange, got %v", err)
+			}
+			for off := uint64(0); off < written; off += uint64(len(page)) {
+				if err := SyncWrite(d, page, off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := TruncateBefore(d, trim); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				buf := make([]byte, c.n)
+				err := SyncRead(d, buf, c.off)
+				switch {
+				case c.ok && err != nil:
+					t.Errorf("%s: %v", c.name, err)
+				case c.ok && !bytes.Equal(buf, page[c.off%uint64(len(page)):][:c.n]):
+					t.Errorf("%s: wrong bytes", c.name)
+				case !c.ok && !errors.Is(err, ErrOutOfRange):
+					t.Errorf("%s: want ErrOutOfRange, got %v", c.name, err)
+				}
+			}
+		})
 	}
 }

@@ -26,6 +26,8 @@ import (
 // Errors.
 var (
 	ErrClosed = errors.New("transport: closed")
+	// ErrAwaitTimeout is AwaitFrame's error once its deadline has passed.
+	ErrAwaitTimeout = errors.New("transport: timed out awaiting frame")
 )
 
 // Conn is a message-oriented, view of a connection. Send and Recv each apply
@@ -62,6 +64,40 @@ type Transport interface {
 type BatchedSender interface {
 	SendNoFlush(frame []byte) error
 	Flush() error
+}
+
+// awaitPoll is how long AwaitFrame sleeps after an empty poll.
+const awaitPoll = 100 * time.Microsecond
+
+// AwaitFrame is the one way to wait on a single connection for a reply: it
+// polls conn until a frame whose first byte — its wire type — is want
+// arrives, and returns that frame; frames of any other type are discarded.
+// It gives up with the connection's error, with ErrAwaitTimeout once
+// deadline has passed (the zero deadline never does), or with the first
+// non-nil error cancelled returns (nil: not cancellable). Loops that serve
+// many connections at once poll them directly.
+func AwaitFrame(conn Conn, want byte, deadline time.Time, cancelled func() error) ([]byte, error) {
+	for {
+		frame, ok, err := conn.TryRecv()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			if len(frame) > 0 && frame[0] == want {
+				return frame, nil
+			}
+			continue
+		}
+		if cancelled != nil {
+			if err := cancelled(); err != nil {
+				return nil, err
+			}
+		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, ErrAwaitTimeout
+		}
+		time.Sleep(awaitPoll)
+	}
 }
 
 // CostModel charges CPU for network processing. Costs are burned (busy

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -411,5 +412,50 @@ func TestTCPSendCoalescing(t *testing.T) {
 	}
 	if got := cc.writes.Load(); got != 2 {
 		t.Fatalf("Send-after-buffer used %d total writes, want 2", got)
+	}
+}
+
+// TestAwaitFrame covers the four ways the single-connection wait ends: the
+// wanted frame (unrelated and empty frames before it discarded), the
+// deadline, the caller's cancellation, and the connection's own error.
+func TestAwaitFrame(t *testing.T) {
+	tr := NewInMem(Free)
+	l, err := tr.Listen("await")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := tr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, f := range [][]byte{{1, 'x'}, {}, {7, 'a'}, {7, 'b'}} {
+		if err := peer.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := AwaitFrame(c, 7, time.Time{}, nil)
+	if err != nil || !bytes.Equal(got, []byte{7, 'a'}) {
+		t.Fatalf("wanted frame: got %q, %v", got, err)
+	}
+	if got, err = AwaitFrame(c, 7, time.Now().Add(time.Second), nil); err != nil || got[1] != 'b' {
+		t.Fatalf("next wanted frame: got %q, %v", got, err)
+	}
+
+	if _, err := AwaitFrame(c, 7, time.Now().Add(5*time.Millisecond), nil); !errors.Is(err, ErrAwaitTimeout) {
+		t.Fatalf("deadline: want ErrAwaitTimeout, got %v", err)
+	}
+	stop := errors.New("stop")
+	if _, err := AwaitFrame(c, 7, time.Time{}, func() error { return stop }); err != stop {
+		t.Fatalf("cancellation: want %v, got %v", stop, err)
+	}
+	peer.Close()
+	if _, err := AwaitFrame(c, 7, time.Now().Add(5*time.Second), nil); err == nil || errors.Is(err, ErrAwaitTimeout) {
+		t.Fatalf("closed peer: want the connection's error, got %v", err)
 	}
 }
