@@ -107,8 +107,7 @@ func main() {
 		}
 	}
 
-	// NetFree: the kernel's TCP stack is the network here; a Net* cost
-	// profile would busy-spin a simulated NIC on top of the real one.
+	// The kernel's TCP stack is the network (NetFree is the only profile).
 	clusterOpts := []shadowfax.ClusterOption{
 		shadowfax.WithTCPNetwork(shadowfax.NetFree),
 	}

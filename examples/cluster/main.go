@@ -21,7 +21,7 @@ const (
 )
 
 func main() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
+	cluster := shadowfax.NewCluster()
 
 	// Carve the hash space into equal quarters.
 	width := ^uint64(0) / servers

@@ -28,7 +28,7 @@ const (
 )
 
 func main() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
+	cluster := shadowfax.NewCluster()
 	dev := shadowfax.NewMemDevice(shadowfax.LatencyModel{}, 4)
 	defer dev.Close()
 	ckptDev := shadowfax.NewMemDevice(shadowfax.LatencyModel{}, 2)

@@ -1,8 +1,8 @@
 // Largerthanmemory: a dataset several times the server's in-memory budget.
-// The HybridLog transparently spills cold pages to the simulated SSD and
-// mirrors them to the shared cloud tier; reads of cold keys take the
-// asynchronous pending-I/O path and still complete, exactly as §2.2
-// describes.
+// The HybridLog transparently spills cold pages to the device (an in-memory
+// stand-in for the SSD) and mirrors them to the shared tier; reads of cold
+// keys take the asynchronous pending-I/O path and still complete, exactly as
+// §2.2 describes.
 package main
 
 import (
@@ -19,11 +19,10 @@ import (
 const keys = 60_000 // * ~88B records ≈ 5 MiB, vs a 1 MiB memory budget
 
 func main() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
-	tier := shadowfax.NewSharedTier(shadowfax.LatencyModel{ReadLatency: 2 * time.Millisecond})
-	// A local "SSD" with realistic-ish latency.
-	dev := shadowfax.NewMemDevice(shadowfax.LatencyModel{
-		ReadLatency: 100 * time.Microsecond, WriteLatency: 100 * time.Microsecond}, 8)
+	cluster := shadowfax.NewCluster()
+	tier := shadowfax.NewSharedTier(shadowfax.LatencyModel{})
+	// The local "SSD": an in-memory device with 8 I/O workers.
+	dev := shadowfax.NewMemDevice(shadowfax.LatencyModel{}, 8)
 	defer dev.Close()
 
 	srv, err := shadowfax.NewServer(cluster, "server-1",

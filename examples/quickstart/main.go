@@ -15,8 +15,8 @@ import (
 
 func main() {
 	// A Cluster bundles the deployment-wide fixtures: the metadata store
-	// (ZooKeeper's stand-in) and the transport with its network cost model.
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
+	// (ZooKeeper's stand-in) and the transport (in-process by default).
+	cluster := shadowfax.NewCluster()
 
 	tier := shadowfax.NewSharedTier(shadowfax.LatencyModel{})
 	srv, err := shadowfax.NewServer(cluster, "server-1",

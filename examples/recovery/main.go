@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
+	cluster := shadowfax.NewCluster()
 
 	// These two devices are the durable substrate: they outlive the server
 	// instance, exactly like an SSD outlives a crashed process.

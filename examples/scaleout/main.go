@@ -34,8 +34,8 @@ func newServer(cluster *shadowfax.Cluster, tier *shadowfax.SharedTier,
 }
 
 func main() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
-	tier := shadowfax.NewSharedTier(shadowfax.LatencyModel{ReadLatency: 2 * time.Millisecond})
+	cluster := shadowfax.NewCluster()
+	tier := shadowfax.NewSharedTier(shadowfax.LatencyModel{})
 	src := newServer(cluster, tier, "source", shadowfax.FullRange)
 	defer src.Close()
 	tgt := newServer(cluster, tier, "target")

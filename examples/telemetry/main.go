@@ -29,7 +29,7 @@ func deviceKey(id uint64) []byte {
 }
 
 func main() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetAccelerated))
+	cluster := shadowfax.NewCluster()
 	srv, err := shadowfax.NewServer(cluster, "ingest-1",
 		shadowfax.WithThreads(2),
 		shadowfax.WithIndexBuckets(1<<14),

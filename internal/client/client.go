@@ -33,12 +33,16 @@ type Config struct {
 	Meta metadata.Provider
 	// BatchOps flushes a session's buffer at this many operations.
 	BatchOps int
-	// BatchBytes flushes earlier if the encoded batch reaches this size
-	// (the paper reports batch sizes in KB; Table 2).
-	BatchBytes int
-	// MaxInflightBatches bounds pipelining per session (queue depth).
-	MaxInflightBatches int
 }
+
+const (
+	// batchBytes flushes a session's buffer before BatchOps is reached once
+	// the encoded batch is this large (the paper reports batch sizes in KB;
+	// Table 2).
+	batchBytes = 32 << 10
+	// maxInflightBatches bounds pipelining per session (queue depth).
+	maxInflightBatches = 8
+)
 
 func (c *Config) applyDefaults() error {
 	if c.Transport == nil || c.Meta == nil {
@@ -46,12 +50,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.BatchOps == 0 {
 		c.BatchOps = 256
-	}
-	if c.BatchBytes == 0 {
-		c.BatchBytes = 32 << 10
-	}
-	if c.MaxInflightBatches == 0 {
-		c.MaxInflightBatches = 8
 	}
 	return nil
 }
@@ -300,7 +298,7 @@ func (t *Thread) flushSession(s *session) {
 	if s.broken {
 		return // ops stay buffered until RecoverSessions replays them
 	}
-	if s.sentBatches >= t.cfg.MaxInflightBatches {
+	if s.sentBatches >= maxInflightBatches {
 		return // pipeline full; Poll will drain and re-flush
 	}
 	if time.Now().Before(s.pausedUntil) {

@@ -67,7 +67,7 @@ func (t *Thread) push(s *session, i int32) {
 	s.bySeq[o.Seq] = i
 	s.building.Ops = append(s.building.Ops, o.Op)
 	s.buildSz += wire.OpHeaderBytes + len(o.Key) + len(o.Value)
-	if len(s.building.Ops) >= t.cfg.BatchOps || s.buildSz >= t.cfg.BatchBytes {
+	if len(s.building.Ops) >= t.cfg.BatchOps || s.buildSz >= batchBytes {
 		t.flushSession(s)
 	}
 }

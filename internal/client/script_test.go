@@ -321,6 +321,8 @@ func TestScriptedSessions(t *testing.T) {
 		{"retired server's session replays to the new owner", scriptRetired},
 		{"FailBroken fails parked ops in issue order", scriptFailBroken},
 		{"Close completes everything in issue order", scriptClose},
+		{"a session holds at most 8 unanswered batches", scriptInflightWindow},
+		{"large values flush a batch at 32 KiB, before BatchOps", scriptBatchBytes},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
@@ -601,6 +603,82 @@ func scriptClose(t *testing.T) {
 		t.Errorf("post-close issue: err %v, callback fired %d times", err, fired)
 	}
 	d.books()
+}
+
+func scriptInflightWindow(t *testing.T) {
+	sc := newScript("s1")
+	sc.meta.RegisterServer("s1", metadata.FullRange)
+	sv := sc.servers["s1"]
+	sv.onBatch = func(*fakeConn, *recvBatch) {}
+	d := newDriver(t, sc, 4)
+	keys := names("k", 80) // twenty batches' worth
+	d.issue(wire.OpRMW, keys...)
+	d.th.Flush()
+	d.th.Poll()
+	if len(sv.batches) != 8 {
+		t.Fatalf("server holds %d unanswered batches, want the window of 8", len(sv.batches))
+	}
+	wantKeys(t, "in flight", sv.sentKeys(0), keys[:32])
+	if len(d.done) != 0 {
+		t.Fatalf("%d ops completed with nothing answered", len(d.done))
+	}
+
+	// One answer opens one slot: everything buffered behind the window goes
+	// out in it, and nothing more until the next answer.
+	sv.conns[0].ack(sv.batches[0])
+	if n := d.th.Poll(); n != 4 {
+		t.Fatalf("one answered batch completed %d ops, want 4", n)
+	}
+	if len(sv.batches) != 9 {
+		t.Fatalf("after one answer the server saw %d batches, want 9", len(sv.batches))
+	}
+	wantKeys(t, "resumed", sv.batches[8].keys(), keys[32:])
+	d.issue(wire.OpRMW, "late-0", "late-1", "late-2", "late-3")
+	if len(sv.batches) != 9 {
+		t.Fatalf("a full window let batch %d out", len(sv.batches))
+	}
+
+	sv.onBatch = nil
+	for _, b := range sv.batches[1:9] {
+		sv.conns[0].ack(b)
+	}
+	d.drain()
+	d.settled(wire.StatusOK)
+}
+
+func scriptBatchBytes(t *testing.T) {
+	sc := newScript("s1")
+	sc.meta.RegisterServer("s1", metadata.FullRange)
+	sv := sc.servers["s1"]
+	d := newDriver(t, sc, 64)
+	val := make([]byte, 8<<10) // four of these pass 32 KiB
+	upsert := func(k string) {
+		if err := d.th.Upsert([]byte(k), val, func(st wire.ResultStatus, _ []byte) {
+			d.done = append(d.done, completion{key: k, status: st})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		d.issued = append(d.issued, k)
+	}
+	keys := names("big", 5)
+	for _, k := range keys[:3] {
+		upsert(k)
+	}
+	if len(sv.batches) != 0 {
+		t.Fatalf("3 ops of 8 KiB flushed %d batches before either limit", len(sv.batches))
+	}
+	upsert(keys[3])
+	if len(sv.batches) != 1 {
+		t.Fatalf("4 ops of 8 KiB (≥ 32 KiB, BatchOps 64) flushed %d batches, want 1", len(sv.batches))
+	}
+	wantKeys(t, "flushed at the byte limit", sv.batches[0].keys(), keys[:4])
+	upsert(keys[4]) // starts the next batch; only Flush/Drain ships it
+	if len(sv.batches) != 1 {
+		t.Fatalf("the op after the flush went out alone")
+	}
+	d.drain()
+	d.settled(wire.StatusOK)
+	wantKeys(t, "remainder", sv.sentKeys(1), keys[4:])
 }
 
 // TestSessionIDsNeverReused: a session id indexes the server's durable session

@@ -37,7 +37,7 @@ type ServerConfig struct {
 	Addr string
 	// Threads is the number of dispatcher goroutines ("vCPUs").
 	Threads int
-	// Transport carries sessions; it embeds the network cost model.
+	// Transport carries sessions: in-process channels or real TCP.
 	Transport transport.Transport
 	// Meta is the external metadata provider (ZooKeeper stand-in): the
 	// in-process store, or a remote provider against a designated metadata
@@ -79,25 +79,16 @@ type ServerConfig struct {
 
 	// AutoScale hosts the load-aware balancer on this server: it polls
 	// every server's stats, and when the hottest server's ops/sec exceeds
-	// the coolest's by AutoScaleImbalance it splits the hot server's
+	// the coolest's by Balancer.Imbalance it splits the hot server's
 	// sampled hash distribution at the load median and drives the ordinary
 	// Migrate() RPC — no operator involved. One server per deployment
 	// should host it.
 	AutoScale bool
-	// AutoScaleEvery is the balancer's planning-pass period (default 1s).
-	AutoScaleEvery time.Duration
-	// AutoScaleImbalance is the hottest/coolest ops-rate ratio that arms a
-	// split (default 3.0).
-	AutoScaleImbalance float64
-	// AutoScaleCooldown is the hold-off after a triggered migration
-	// (default 10s).
-	AutoScaleCooldown time.Duration
-	// AutoScaleMinRate is the ops/sec floor below which the cluster is
-	// considered idle and never split (default 500).
-	AutoScaleMinRate float64
-	// AutoScaleMaxConcurrent caps how many migrations one balancer pass may
-	// start concurrently over disjoint ranges (default 4).
-	AutoScaleMaxConcurrent int
+	// Balancer is the hosted balancer's policy: split thresholds, the
+	// scale-in low-water drain and the SpawnStandby healing hook. The server
+	// fills in Self, Meta and Transport; zero fields take
+	// ctlplane.BalancerConfig's defaults, the one home of balancer tuning.
+	Balancer ctlplane.BalancerConfig
 
 	// Primary→backup replication (replication.go).
 
@@ -133,30 +124,6 @@ type ServerConfig struct {
 	// instead of growing the held queue without limit while the backup lags
 	// (or a detach awaits confirmation). 0 disables shedding (default 256).
 	MaxConnBacklog int
-
-	// SpawnStandby, when set alongside AutoScale, lets the hosted balancer
-	// self-heal replication: when it observes a promoted primary serving
-	// without a registered replica it calls SpawnStandby(primaryID) to
-	// provision a fresh standby (rate-limited per primary). The hook runs on
-	// the balancer goroutine and must be safe to call repeatedly.
-	SpawnStandby func(primaryID string) error
-
-	// Scale-in (the balancer's low-water drain policy; needs AutoScale).
-
-	// ScaleIn lets the hosted balancer retire chronically cold servers: when
-	// a server's ops rate stays below ScaleInBelowRate for
-	// ScaleInAfterPasses consecutive planning passes (and the cluster would
-	// keep at least ScaleInMinServers servers), the balancer drains its
-	// ranges into the survivors via ordinary migrations and retires it.
-	ScaleIn bool
-	// ScaleInBelowRate is the ops/sec low-water mark (default 50).
-	ScaleInBelowRate float64
-	// ScaleInAfterPasses is how many consecutive cold passes arm a drain
-	// (default 5).
-	ScaleInAfterPasses int
-	// ScaleInMinServers is the floor the cluster never drains below
-	// (default 2).
-	ScaleInMinServers int
 
 	// Migration tuning.
 
@@ -199,9 +166,6 @@ func (c *ServerConfig) applyDefaults() error {
 	if c.MaxConnBacklog == 0 {
 		c.MaxConnBacklog = 256
 	}
-	// ScaleIn* zero values fall through to ctlplane.BalancerConfig's defaults.
-	// AutoScale* zero values fall through to ctlplane.BalancerConfig's
-	// defaults (the single source of truth for balancer tuning).
 	return nil
 }
 
@@ -528,15 +492,9 @@ func (s *Server) startBackground() {
 		go s.compactLoop(cfg.CompactEvery, cfg.CompactWatermark)
 	}
 	if cfg.AutoScale {
-		b := ctlplane.NewBalancer(ctlplane.BalancerConfig{
-			Self: cfg.ID, Meta: cfg.Meta, Transport: cfg.Transport,
-			Every: cfg.AutoScaleEvery, Imbalance: cfg.AutoScaleImbalance,
-			Cooldown: cfg.AutoScaleCooldown, MinOpsPerSec: cfg.AutoScaleMinRate,
-			MaxConcurrent: cfg.AutoScaleMaxConcurrent,
-			ScaleIn:       cfg.ScaleIn, ScaleInBelowOps: cfg.ScaleInBelowRate,
-			ScaleInAfterPasses: cfg.ScaleInAfterPasses, MinServers: cfg.ScaleInMinServers,
-			SpawnStandby: cfg.SpawnStandby,
-		})
+		bc := cfg.Balancer
+		bc.Self, bc.Meta, bc.Transport = cfg.ID, cfg.Meta, cfg.Transport
+		b := ctlplane.NewBalancer(bc)
 		s.balancer.Store(b)
 		b.Run()
 		if s.stopping.Load() {

@@ -616,6 +616,18 @@ func TestPlanRecordRead(t *testing.T) {
 	}
 }
 
+// slowWrites is a Device whose writes complete 2 ms late — a slow disk for
+// TestHeadNeverPassesFlushedFrontier. The sleep holds the inner device's
+// worker, so with one worker writes also queue behind each other.
+type slowWrites struct{ *storage.MemDevice }
+
+func (d slowWrites) WriteAt(p []byte, off uint64, done func(error)) {
+	d.MemDevice.WriteAt(p, off, func(err error) {
+		time.Sleep(2 * time.Millisecond)
+		done(err)
+	})
+}
+
 // TestHeadNeverPassesFlushedFrontier: readers treat every address below
 // HeadAddress as device-resident, so the head intent may not run ahead of
 // what the flusher has written. With a slow device it would, for as long as
@@ -623,7 +635,7 @@ func TestPlanRecordRead(t *testing.T) {
 // read a page the device does not hold yet.
 func TestHeadNeverPassesFlushedFrontier(t *testing.T) {
 	em := epoch.NewManager()
-	dev := storage.NewMemDevice(storage.LatencyModel{WriteLatency: 2 * time.Millisecond}, 1)
+	dev := slowWrites{storage.NewMemDevice(storage.LatencyModel{}, 1)}
 	l, err := New(Config{PageBits: 12, MemPages: 8, MutablePages: 4,
 		Device: dev, Epoch: em, LogID: "slow-flush"})
 	if err != nil {

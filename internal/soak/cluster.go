@@ -165,7 +165,7 @@ func Run(cfg Config) (Result, error) {
 // devices (so kill/restart cycles recover from them), hosts balancers on the
 // first two nodes, and dials the client workers.
 func (s *clusterSoak) boot() error {
-	s.cluster = s.addCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	s.cluster = s.addCluster()
 	n := s.cfg.Servers
 	step := ^uint64(0) / uint64(n)
 	for i := 0; i < n; i++ {

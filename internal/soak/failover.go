@@ -163,7 +163,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 }
 
 func (s *failoverSoak) boot() error {
-	s.cluster = s.addCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	s.cluster = s.addCluster()
 	s.primary = s.addNode(s.cluster, primaryID, true)
 	if err := s.primary.start(); err != nil {
 		return err

@@ -1,12 +1,11 @@
 // Package storage provides the block devices under the HybridLog and the
 // shared remote tier Shadowfax extends it with (§2.2, §3.3.2).
 //
-// The paper's testbed used local NVMe SSDs (96k IOPS) and Azure premium page
-// blobs (7,500 IOPS, 250 MB/s). Neither is available here, so this package
-// substitutes simulated devices with configurable latency and IOPS throttles.
-// The HybridLog and the migration protocol only require an asynchronous block
-// device and a slow-but-shared remote object store; the simulation preserves
-// exactly those properties (see "Hardware substitutions" in EXPERIMENTS.md).
+// The paper's testbed used local NVMe SSDs and Azure premium page blobs. The
+// HybridLog and the migration protocol only require an asynchronous block
+// device and a shared remote object store: FileDevice is a real file;
+// MemDevice and SharedTier are in-memory stand-ins for the SSD and the blob
+// store. None of them models timing — an I/O takes what the host takes.
 package storage
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrClosed is returned for operations on a closed device.
@@ -103,18 +101,12 @@ func TruncateBefore(d Device, off uint64) (uint64, error) {
 	return 0, nil
 }
 
-// LatencyModel describes the simulated performance of a device.
-type LatencyModel struct {
-	// ReadLatency and WriteLatency are added to every operation.
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
-	// IOPS, when non-zero, rate-limits operations with a token bucket.
-	IOPS int
-	// BytesPerSec, when non-zero, rate-limits throughput.
-	BytesPerSec int
-}
+// LatencyModel has no fields: devices run at the speed of what backs them.
+// The frozen benchmark/ pins it as the constructors' parameter; the next
+// [benchmark] PR may drop it.
+type LatencyModel struct{}
 
-// ioJob is one queued operation on a simulated device. Batch reads carry the
+// ioJob is one queued operation on a device. Batch reads carry the
 // request's index and the shared batch callback instead of a per-read done
 // closure, so submitting a batch allocates nothing per request.
 type ioJob struct {
@@ -143,20 +135,20 @@ type backing interface {
 }
 
 // ioEngine is everything MemDevice and FileDevice share: the job queue and
-// its workers (the simulated queue depth), the latency model and throttle,
-// the counters, and the one range check every read passes. The public types
-// embed it, so its exported methods are theirs.
+// its workers (the queue depth), the counters, and the one range check every
+// read passes. The public types embed it, so its exported methods are theirs.
 type ioEngine struct {
-	model LatencyModel
-	back  backing
+	back backing
 
 	written atomic.Uint64 // high-water mark of written bytes
 	trimmed atomic.Uint64 // bytes below this were released via TruncateBefore
 
-	jobs     chan ioJob
-	throttle *throttle
-	wg       sync.WaitGroup
-	closed   atomic.Bool
+	jobs chan ioJob
+	wg   sync.WaitGroup
+	// closeMu makes submit's closed-check-and-send atomic with respect to
+	// shutdown closing jobs: submitters share it, shutdown excludes them.
+	closeMu sync.RWMutex
+	closed  atomic.Bool
 
 	stats deviceStats
 }
@@ -182,14 +174,13 @@ func (s *deviceStats) snapshot() DeviceStats {
 // start wires the engine to its backing and launches the workers. workers
 // controls completion concurrency; values < 1 default to 4. written is the
 // size of what the backing already holds.
-func (e *ioEngine) start(back backing, model LatencyModel, workers int, written uint64) {
+func (e *ioEngine) start(back backing, workers int, written uint64) {
 	if workers < 1 {
 		workers = 4
 	}
-	e.model, e.back = model, back
+	e.back = back
 	e.written.Store(written)
 	e.jobs = make(chan ioJob, 1024)
-	e.throttle = newThrottle(model.IOPS, model.BytesPerSec)
 	for i := 0; i < workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -199,18 +190,15 @@ func (e *ioEngine) start(back backing, model LatencyModel, workers int, written 
 func (e *ioEngine) worker() {
 	defer e.wg.Done()
 	for job := range e.jobs {
-		e.throttle.acquire(len(job.buf))
 		n := uint64(len(job.buf))
 		var err error
 		if job.write {
-			time.Sleep(e.model.WriteLatency)
 			if err = e.back.writeAt(job.buf, job.off); err == nil {
 				raise(&e.written, job.off+n)
 			}
 			e.stats.writes.Add(1)
 			e.stats.writtenBytes.Add(n)
 		} else {
-			time.Sleep(e.model.ReadLatency)
 			if err = e.checkRead(job.off, n); err == nil {
 				err = e.back.readAt(job.buf, job.off)
 			}
@@ -248,11 +236,17 @@ func raise(v *atomic.Uint64, target uint64) {
 
 // submit queues job for the workers, or fails it at once on a closed device.
 func (e *ioEngine) submit(job ioJob) {
+	e.closeMu.RLock()
 	if e.closed.Load() {
+		e.closeMu.RUnlock()
 		job.finish(ErrClosed)
 		return
 	}
+	// A full queue blocks here holding closeMu shared. That cannot deadlock:
+	// the workers drain until the channel closes, and shutdown closes it only
+	// once this send has returned.
 	e.jobs <- job
+	e.closeMu.RUnlock()
 }
 
 // WriteAt implements Device.
@@ -285,10 +279,13 @@ func (e *ioEngine) WrittenBytes() uint64 { return e.written.Load() }
 // shutdown stops the workers once in-flight operations have completed and
 // reports whether this call was the one that closed the device.
 func (e *ioEngine) shutdown() bool {
+	e.closeMu.Lock()
 	if e.closed.Swap(true) {
+		e.closeMu.Unlock()
 		return false
 	}
 	close(e.jobs)
+	e.closeMu.Unlock()
 	e.wg.Wait()
 	return true
 }
@@ -300,12 +297,11 @@ type MemDevice struct {
 	ext extentMap
 }
 
-// NewMemDevice returns an in-memory device with the given performance model.
-// workers controls completion concurrency (the simulated queue depth);
-// values < 1 default to 4.
-func NewMemDevice(model LatencyModel, workers int) *MemDevice {
+// NewMemDevice returns an in-memory device. workers controls completion
+// concurrency (the queue depth); values < 1 default to 4.
+func NewMemDevice(_ LatencyModel, workers int) *MemDevice {
 	d := &MemDevice{}
-	d.start(&d.ext, model, workers, 0)
+	d.start(&d.ext, workers, 0)
 	return d
 }
 
@@ -351,50 +347,4 @@ func SyncRead(d Device, p []byte, off uint64) error {
 // SyncWrite is a package-level helper for synchronous writes on any Device.
 func SyncWrite(d Device, p []byte, off uint64) error {
 	return waitIO(func(done func(error)) { d.WriteAt(p, off, done) })
-}
-
-// throttle implements combined IOPS and byte-rate limiting with simple
-// time-based accounting; a zero-valued limit disables that dimension.
-type throttle struct {
-	mu          sync.Mutex
-	iops        float64
-	bps         float64
-	nextOpAt    time.Time
-	nextBytesAt time.Time
-}
-
-func newThrottle(iops, bytesPerSec int) *throttle {
-	return &throttle{iops: float64(iops), bps: float64(bytesPerSec)}
-}
-
-// acquire blocks until the operation conforms to the configured rates.
-func (t *throttle) acquire(bytes int) {
-	if t.iops == 0 && t.bps == 0 {
-		return
-	}
-	t.mu.Lock()
-	now := time.Now()
-	var wait time.Duration
-	if t.iops > 0 {
-		wait = reserve(&t.nextOpAt, now, time.Duration(float64(time.Second)/t.iops))
-	}
-	if t.bps > 0 && bytes > 0 {
-		cost := time.Duration(float64(bytes) / t.bps * float64(time.Second))
-		if w := reserve(&t.nextBytesAt, now, cost); w > wait {
-			wait = w
-		}
-	}
-	t.mu.Unlock()
-	time.Sleep(wait)
-}
-
-// reserve books cost on one dimension's timeline (*next is when it is free
-// again) and returns how long from now the booked slot starts.
-func reserve(next *time.Time, now time.Time, cost time.Duration) time.Duration {
-	if next.Before(now) {
-		*next = now
-	}
-	wait := next.Sub(now)
-	*next = next.Add(cost)
-	return wait
 }

@@ -15,7 +15,7 @@ type FileDevice struct {
 }
 
 // NewFileDevice opens (creating if needed) a file-backed device at path.
-func NewFileDevice(path string, model LatencyModel, workers int) (*FileDevice, error) {
+func NewFileDevice(path string, _ LatencyModel, workers int) (*FileDevice, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -26,7 +26,7 @@ func NewFileDevice(path string, model LatencyModel, workers int) (*FileDevice, e
 		return nil, err
 	}
 	d := &FileDevice{f: f}
-	d.start(d, model, workers, uint64(st.Size()))
+	d.start(d, workers, uint64(st.Size()))
 	return d, nil
 }
 

@@ -4,26 +4,19 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// SharedTier simulates the shared remote storage tier (Azure page blobs in
-// the paper, §3.3.2). Every server's HybridLog eventually flushes its stable
-// region here under its own log ID; after a migration the target resolves
-// indirection records by reading from the *source's* log through this tier.
-//
-// The simulation models the properties the experiments depend on: the tier
-// is shared (any server can read any log), slow (configurable latency), and
-// throttled (configurable IOPS), which is what makes post-migration pending
-// queues drain gradually in Figure 12(b).
+// SharedTier is the in-memory stand-in for the shared remote storage tier
+// (Azure page blobs in the paper, §3.3.2). Every server's HybridLog
+// eventually flushes its stable region here under its own log ID; after a
+// migration the target resolves indirection records by reading from the
+// *source's* log through this tier. The one property the protocol depends on
+// is kept: the tier is shared (any server can read any log).
 type SharedTier struct {
-	model LatencyModel
-
 	mu   sync.RWMutex
 	logs map[string]*blobLog
 
-	throttle *throttle
-	closed   atomic.Bool
+	closed atomic.Bool
 
 	stats deviceStats
 }
@@ -34,15 +27,9 @@ type blobLog struct {
 	written atomic.Uint64 // high-water mark
 }
 
-// NewSharedTier returns an empty shared tier with the given model. The
-// paper's premium page blobs are approximated by
-// LatencyModel{ReadLatency: 2ms, IOPS: 7500, BytesPerSec: 250 << 20}.
-func NewSharedTier(model LatencyModel) *SharedTier {
-	return &SharedTier{
-		model:    model,
-		logs:     make(map[string]*blobLog),
-		throttle: newThrottle(model.IOPS, model.BytesPerSec),
-	}
+// NewSharedTier returns an empty shared tier.
+func NewSharedTier(LatencyModel) *SharedTier {
+	return &SharedTier{logs: make(map[string]*blobLog)}
 }
 
 func (t *SharedTier) log(id string) *blobLog {
@@ -70,10 +57,6 @@ func (t *SharedTier) Upload(logID string, p []byte, off uint64) error {
 		return ErrClosed
 	}
 	n := len(p)
-	t.throttle.acquire(n)
-	if t.model.WriteLatency > 0 {
-		time.Sleep(t.model.WriteLatency)
-	}
 	l := t.log(logID)
 	_ = l.writeAt(p, off) // an extent map write cannot fail
 	raise(&l.written, off+uint64(n))
@@ -90,10 +73,6 @@ func (t *SharedTier) Read(logID string, p []byte, off uint64) error {
 		return ErrClosed
 	}
 	n := len(p)
-	t.throttle.acquire(n)
-	if t.model.ReadLatency > 0 {
-		time.Sleep(t.model.ReadLatency)
-	}
 	t.mu.RLock()
 	l, ok := t.logs[logID]
 	t.mu.RUnlock()

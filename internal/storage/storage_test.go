@@ -5,9 +5,9 @@ import (
 	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestMemDeviceRoundTrip(t *testing.T) {
@@ -244,46 +244,48 @@ func TestSharedTierCrossServerRead(t *testing.T) {
 	}
 }
 
-func TestThrottleIOPS(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	// 100 IOPS -> 20 ops take ~190ms beyond the first.
-	th := newThrottle(100, 0)
-	start := time.Now()
-	for i := 0; i < 20; i++ {
-		th.acquire(1)
-	}
-	if el := time.Since(start); el < 150*time.Millisecond {
-		t.Fatalf("throttle too permissive: 20 ops at 100 IOPS in %v", el)
-	}
-}
-
-func TestThrottleBytes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	// 1 MiB/s -> 256 KiB should take ~250ms.
-	th := newThrottle(0, 1<<20)
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		th.acquire(64 << 10)
-	}
-	if el := time.Since(start); el < 150*time.Millisecond {
-		t.Fatalf("byte throttle too permissive: %v", el)
-	}
-}
-
-func TestLatencyModelApplied(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	d := NewMemDevice(LatencyModel{ReadLatency: 20 * time.Millisecond}, 1)
-	defer d.Close()
-	d.WriteSync([]byte("x"), 0)
-	start := time.Now()
-	d.ReadSync(make([]byte, 1), 0)
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Fatalf("read latency not applied: %v", el)
+// TestSubmitRacingCloseFailsWithErrClosed: an I/O submitted while the device
+// is being closed either completes or fails with ErrClosed — its callback
+// runs exactly once, and the submitter never sends on the closed job queue.
+func TestSubmitRacingCloseFailsWithErrClosed(t *testing.T) {
+	const rounds, writes = 200, 50
+	for name, open := range backings {
+		t.Run(name, func(t *testing.T) {
+			for r := 0; r < rounds; r++ {
+				d := open(t)
+				var calls [writes]atomic.Int32
+				var completed sync.WaitGroup
+				completed.Add(writes)
+				// Close lands after write number r%writes has been submitted,
+				// so over the rounds it meets every point of the stream.
+				midway := make(chan struct{})
+				closed := make(chan struct{})
+				go func() {
+					defer close(closed)
+					<-midway
+					d.Close()
+				}()
+				for i := 0; i < writes; i++ {
+					i := i
+					d.WriteAt([]byte{byte(i)}, uint64(i), func(err error) {
+						if err != nil && !errors.Is(err, ErrClosed) {
+							t.Errorf("write %d: %v", i, err)
+						}
+						calls[i].Add(1)
+						completed.Done()
+					})
+					if i == r%writes {
+						close(midway)
+					}
+				}
+				<-closed
+				completed.Wait()
+				for i := range calls {
+					if n := calls[i].Load(); n != 1 {
+						t.Fatalf("round %d: done of write %d ran %d times", r, i, n)
+					}
+				}
+			}
+		})
 	}
 }

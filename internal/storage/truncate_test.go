@@ -152,21 +152,24 @@ func TestSharedTierTruncate(t *testing.T) {
 	}
 }
 
+// backings opens one device per backing the engine serves, for the tests that
+// hold on both.
+var backings = map[string]func(t *testing.T) Device{
+	"mem": func(*testing.T) Device { return NewMemDevice(LatencyModel{}, 2) },
+	"file": func(t *testing.T) Device {
+		d, err := NewFileDevice(filepath.Join(t.TempDir(), "dev.dat"), LatencyModel{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	},
+}
+
 // TestDeviceReadRange pins the one definition of a readable range on both
 // backings: the same condition is the same typed error whether the bytes
 // live in extents or in a file. 2 MiB are written, the first MiB is trimmed.
 func TestDeviceReadRange(t *testing.T) {
 	const written, trim = 2 * extentSize, extentSize
-	devices := map[string]func(t *testing.T) Device{
-		"mem": func(*testing.T) Device { return NewMemDevice(LatencyModel{}, 2) },
-		"file": func(t *testing.T) Device {
-			d, err := NewFileDevice(filepath.Join(t.TempDir(), "range.dat"), LatencyModel{}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-	}
 	cases := []struct {
 		name   string
 		off, n uint64
@@ -183,7 +186,7 @@ func TestDeviceReadRange(t *testing.T) {
 	for i := range page {
 		page[i] = byte(i*5 + 1)
 	}
-	for name, open := range devices {
+	for name, open := range backings {
 		t.Run(name, func(t *testing.T) {
 			d := open(t)
 			defer d.Close()

@@ -1,15 +1,8 @@
 // Package transport provides the message transports under Shadowfax's
-// sessions (§3.1.2) plus the CPU cost models that stand in for the paper's
-// network-stack variants.
-//
-// The paper's experiments vary the *CPU cost of moving bytes*: SmartNIC-
-// accelerated Linux TCP, unaccelerated TCP, and two-sided RDMA (Infrc).
-// None of that hardware exists here, so every transport applies an explicit
-// CostModel — a calibrated busy-spin per frame and per byte on both the send
-// and receive paths — which exposes exactly the variable the experiments
-// measure ("Hardware substitutions" in EXPERIMENTS.md). The TCP transport is
-// real net.Listen/net.Dial TCP with length-prefixed frames; the in-process
-// transport is a pair of channels for single-binary experiments.
+// sessions (§3.1.2). The TCP transport is real net.Listen/net.Dial TCP with
+// length-prefixed frames; the in-process transport is a pair of channels for
+// single-binary clusters and tests. Neither models a network: a frame costs
+// what the host charges for it.
 package transport
 
 import (
@@ -30,9 +23,8 @@ var (
 	ErrAwaitTimeout = errors.New("transport: timed out awaiting frame")
 )
 
-// Conn is a message-oriented, view of a connection. Send and Recv each apply
-// the transport's cost model. TryRecv never blocks (server dispatch loops
-// poll with it).
+// Conn is a message-oriented view of a connection. TryRecv never blocks
+// (server dispatch loops poll with it).
 type Conn interface {
 	Send(frame []byte) error
 	Recv() ([]byte, error)
@@ -100,62 +92,13 @@ func AwaitFrame(conn Conn, want byte, deadline time.Time, cancelled func() error
 	}
 }
 
-// CostModel charges CPU for network processing. Costs are burned (busy
-// spin) on the calling goroutine: offloaded stacks charge almost nothing,
-// software stacks charge per byte, mirroring where the paper's throughput
-// differences come from.
-type CostModel struct {
-	Name        string
-	SendPerOp   time.Duration // per Send call (syscall + doorbell analogue)
-	SendPerByte time.Duration
-	RecvPerOp   time.Duration
-	RecvPerByte time.Duration
-}
+// CostModel has no fields: the transports charge nothing beyond the work
+// they do. The frozen benchmark/ pins it as the constructors' parameter; the
+// next [benchmark] PR may drop it.
+type CostModel struct{}
 
-// The paper's four network configurations (Table 2). Magnitudes are scaled
-// for a single-machine simulation; their *ratios* follow the paper's
-// measured throughput ratios (130 : 75 Mops/s for accelerated vs software
-// TCP at equal batch size; near-zero software cost for Infrc).
-var (
-	// AcceleratedTCP models SmartNIC-offloaded Linux TCP.
-	AcceleratedTCP = CostModel{Name: "TCP",
-		SendPerOp: 1 * time.Microsecond, SendPerByte: 1 * time.Nanosecond / 4,
-		RecvPerOp: 1 * time.Microsecond, RecvPerByte: 1 * time.Nanosecond / 4}
-	// SoftwareTCP models the full software stack (acceleration disabled).
-	SoftwareTCP = CostModel{Name: "w/o Accel",
-		SendPerOp: 4 * time.Microsecond, SendPerByte: 2 * time.Nanosecond,
-		RecvPerOp: 4 * time.Microsecond, RecvPerByte: 2 * time.Nanosecond}
-	// Infrc models two-sided RDMA: hardware stack, near-zero CPU.
-	Infrc = CostModel{Name: "Infrc",
-		SendPerOp: 200 * time.Nanosecond, SendPerByte: 0,
-		RecvPerOp: 200 * time.Nanosecond, RecvPerByte: 0}
-	// TCPIPoIB models TCP over IPoIB on the faster Infrc VMs.
-	TCPIPoIB = CostModel{Name: "TCP-IPoIB",
-		SendPerOp: 800 * time.Nanosecond, SendPerByte: 1 * time.Nanosecond / 5,
-		RecvPerOp: 800 * time.Nanosecond, RecvPerByte: 1 * time.Nanosecond / 5}
-	// Free charges nothing (unit tests).
-	Free = CostModel{Name: "free"}
-)
-
-// burn spends d of CPU time spinning; this models protocol-processing work
-// that would otherwise be invisible to a simulation (sleeping would yield
-// the core, which a software network stack does not).
-func burn(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < d {
-	}
-}
-
-func (c CostModel) chargeSend(n int) {
-	burn(c.SendPerOp + time.Duration(n)*c.SendPerByte)
-}
-
-func (c CostModel) chargeRecv(n int) {
-	burn(c.RecvPerOp + time.Duration(n)*c.RecvPerByte)
-}
+// Free is the only CostModel.
+var Free CostModel
 
 // Stats counts transport traffic.
 type Stats struct {
@@ -169,7 +112,6 @@ type Stats struct {
 // InMem is a registry-based in-process Transport; addresses are arbitrary
 // strings. Useful for single-binary experiments and tests.
 type InMem struct {
-	Cost  CostModel
 	Depth int // per-direction queue depth (default 256)
 
 	mu        sync.Mutex
@@ -177,9 +119,9 @@ type InMem struct {
 	stats     Stats
 }
 
-// NewInMem creates an in-process transport with the given cost model.
-func NewInMem(cost CostModel) *InMem {
-	return &InMem{Cost: cost, Depth: 256, listeners: make(map[string]*inMemListener)}
+// NewInMem creates an in-process transport.
+func NewInMem(CostModel) *InMem {
+	return &InMem{Depth: 256, listeners: make(map[string]*inMemListener)}
 }
 
 // Stats returns traffic counters.
@@ -261,7 +203,6 @@ func (c *inMemConn) Send(frame []byte) error {
 	if c.closed.Load() || c.peer.closed.Load() {
 		return ErrClosed
 	}
-	c.t.Cost.chargeSend(len(frame))
 	// Copy: the caller reuses its buffer.
 	msg := append([]byte(nil), frame...)
 	select {
@@ -293,7 +234,6 @@ func (c *inMemConn) Recv() ([]byte, error) {
 			if !ok {
 				return nil, ErrClosed
 			}
-			c.t.Cost.chargeRecv(len(msg))
 			c.t.stats.FramesRecv.Add(1)
 			c.t.stats.BytesRecv.Add(uint64(len(msg)))
 			return msg, nil
@@ -314,7 +254,6 @@ func (c *inMemConn) TryRecv() ([]byte, bool, error) {
 		if !ok {
 			return nil, false, ErrClosed
 		}
-		c.t.Cost.chargeRecv(len(msg))
 		c.t.stats.FramesRecv.Add(1)
 		c.t.stats.BytesRecv.Add(uint64(len(msg)))
 		return msg, true, nil
@@ -340,15 +279,14 @@ func (c *inMemConn) Close() error {
 // frames. Each connection runs a reader goroutine feeding a frame queue so
 // dispatch loops can poll without syscalls.
 type TCP struct {
-	Cost  CostModel
 	Depth int
 
 	stats Stats
 }
 
-// NewTCP creates a TCP transport with the given cost model.
-func NewTCP(cost CostModel) *TCP {
-	return &TCP{Cost: cost, Depth: 256}
+// NewTCP creates a TCP transport.
+func NewTCP(CostModel) *TCP {
+	return &TCP{Depth: 256}
 }
 
 // Stats returns traffic counters.
@@ -455,7 +393,6 @@ func (c *tcpConn) Send(frame []byte) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.t.Cost.chargeSend(len(frame))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.appendFrameLocked(frame)
@@ -469,7 +406,6 @@ func (c *tcpConn) SendNoFlush(frame []byte) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.t.Cost.chargeSend(len(frame))
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.appendFrameLocked(frame)
@@ -518,7 +454,6 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	if !ok {
 		return nil, c.readErr()
 	}
-	c.t.Cost.chargeRecv(len(msg))
 	c.t.stats.FramesRecv.Add(1)
 	c.t.stats.BytesRecv.Add(uint64(len(msg)))
 	return msg, nil
@@ -530,7 +465,6 @@ func (c *tcpConn) TryRecv() ([]byte, bool, error) {
 		if !ok {
 			return nil, false, c.readErr()
 		}
-		c.t.Cost.chargeRecv(len(msg))
 		c.t.stats.FramesRecv.Add(1)
 		c.t.stats.BytesRecv.Add(uint64(len(msg)))
 		return msg, true, nil

@@ -243,41 +243,6 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestCostModelCharges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	expensive := CostModel{Name: "x", SendPerOp: 2 * time.Millisecond}
-	tr := NewInMem(expensive)
-	l, _ := tr.Listen("cost")
-	defer l.Close()
-	go func() { l.Accept() }()
-	c, _ := tr.Dial("cost")
-	start := time.Now()
-	for i := 0; i < 10; i++ {
-		c.Send([]byte("x"))
-	}
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Fatalf("cost model not applied: 10 sends in %v", el)
-	}
-}
-
-func TestCostModelProfilesOrdered(t *testing.T) {
-	// The software stack must charge more than the accelerated one, which
-	// must charge more than Infrc — the premise of Figure 8 and Table 2.
-	per := func(m CostModel, n int) time.Duration {
-		return m.SendPerOp + time.Duration(n)*m.SendPerByte +
-			m.RecvPerOp + time.Duration(n)*m.RecvPerByte
-	}
-	const batch = 32 << 10
-	if !(per(SoftwareTCP, batch) > per(AcceleratedTCP, batch)) {
-		t.Fatal("software TCP must cost more than accelerated TCP")
-	}
-	if !(per(AcceleratedTCP, batch) > per(Infrc, 1<<10)) {
-		t.Fatal("accelerated TCP must cost more than Infrc")
-	}
-}
-
 func BenchmarkInMemSendRecv(b *testing.B) {
 	tr := NewInMem(Free)
 	l, _ := tr.Listen("bench")

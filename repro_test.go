@@ -80,7 +80,7 @@ func TestSmokeEndToEnd(t *testing.T) {
 // package: the supported surface (cluster, functional options, futures,
 // typed errors) assembled exactly the way cmd/ and examples/ use it.
 func TestPublicAPISmoke(t *testing.T) {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	srv, err := shadowfax.NewServer(cluster, "smoke",
 		shadowfax.WithThreads(2),
 		shadowfax.WithIndexBuckets(1<<10),

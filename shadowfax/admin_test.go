@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
 
 func TestAdminStatsAndCheckpoint(t *testing.T) {
-	cluster := NewCluster(WithInProcessNetwork(NetFree))
+	cluster := NewCluster()
 	logDev := NewMemDevice(LatencyModel{}, 2)
 	defer logDev.Close()
 	ckptDev := NewMemDevice(LatencyModel{}, 2)
@@ -95,7 +96,7 @@ func TestAdminCompact(t *testing.T) {
 }
 
 func TestAdminMigrate(t *testing.T) {
-	cluster := NewCluster(WithInProcessNetwork(NetFree))
+	cluster := NewCluster()
 	for _, id := range []string{"src", "dst"} {
 		ranges := []HashRange{}
 		if id == "src" {
@@ -177,5 +178,28 @@ func TestDiscover(t *testing.T) {
 	v, err := cl2.Get(ctx, []byte("shared"))
 	if err != nil || !bytes.Equal(v, []byte("state")) {
 		t.Fatalf("read through discovered cluster: %q, %v", v, err)
+	}
+}
+
+// TestBalancerOptionsCommute: WithAutoScale and WithScaleIn each fill their
+// own fields of the one balancer configuration, so the order they are given
+// in does not matter.
+func TestBalancerOptionsCommute(t *testing.T) {
+	auto := WithAutoScale(AutoScaleConfig{Every: time.Second, Imbalance: 2, Cooldown: time.Minute,
+		MinOpsPerSec: 100, MaxConcurrent: 3})
+	in := WithScaleIn(ScaleInConfig{BelowOpsPerSec: 10, AfterPasses: 4, MinServers: 3})
+	var a, b serverConfig
+	auto(&a)
+	in(&a)
+	in(&b)
+	auto(&b)
+	if !reflect.DeepEqual(a.cfg, b.cfg) {
+		t.Fatalf("option order changed the configuration:\n auto,in: %+v\n in,auto: %+v", a.cfg.Balancer, b.cfg.Balancer)
+	}
+	bc := a.cfg.Balancer
+	if !a.cfg.AutoScale || !bc.ScaleIn || bc.Every != time.Second || bc.Imbalance != 2 ||
+		bc.Cooldown != time.Minute || bc.MinOpsPerSec != 100 || bc.MaxConcurrent != 3 ||
+		bc.ScaleInBelowOps != 10 || bc.ScaleInAfterPasses != 4 || bc.MinServers != 3 {
+		t.Fatalf("options did not reach the balancer configuration: %+v", bc)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // space), client re-routing (cold serves operations), and data integrity
 // (every counter equals exactly the increments applied, across the split).
 func TestAutoScaleOutSplitsHotRange(t *testing.T) {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	defer cluster.Close()
 
 	hot, err := shadowfax.NewServer(cluster, "hot",

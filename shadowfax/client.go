@@ -55,20 +55,9 @@ func WithClientThreads(n int) DialOption {
 }
 
 // WithBatchOps flushes a session's buffer at this many operations
-// (default 256).
+// (default 256); a batch that reaches 32 KiB encoded flushes earlier.
 func WithBatchOps(n int) DialOption {
 	return func(dc *dialConfig) { dc.cfg.BatchOps = n }
-}
-
-// WithBatchBytes flushes earlier if the encoded batch reaches this size
-// (default 32 KiB).
-func WithBatchBytes(n int) DialOption {
-	return func(dc *dialConfig) { dc.cfg.BatchBytes = n }
-}
-
-// WithMaxInflightBatches bounds pipelining per session (default 8).
-func WithMaxInflightBatches(n int) DialOption {
-	return func(dc *dialConfig) { dc.cfg.MaxInflightBatches = n }
 }
 
 // WithMaxOutstanding bounds issued-but-uncompleted operations per thread;

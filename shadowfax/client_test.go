@@ -9,11 +9,10 @@ import (
 	"time"
 )
 
-// testCluster boots a one-server cluster on a cost-free in-process
-// transport.
+// testCluster boots a one-server cluster on the in-process transport.
 func testCluster(t *testing.T, serverOpts ...ServerOption) (*Cluster, *Server) {
 	t.Helper()
-	cluster := NewCluster(WithInProcessNetwork(NetFree))
+	cluster := NewCluster()
 	opts := append([]ServerOption{WithThreads(1), WithIndexBuckets(1 << 10),
 		WithMemoryBudget(12, 16, 8)}, serverOpts...)
 	srv, err := NewServer(cluster, "s1", opts...)
@@ -158,7 +157,7 @@ func TestClientThreadsSharding(t *testing.T) {
 // answers: operations route and send, then hang forever.
 func deadCluster(t *testing.T) *Cluster {
 	t.Helper()
-	cluster := NewCluster(WithInProcessNetwork(NetFree))
+	cluster := NewCluster()
 	if _, err := cluster.tr.Listen("dead"); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +281,7 @@ func TestCloseCompletesFutures(t *testing.T) {
 // context expiry is explained with ErrSessionBroken, and RecoverSessions
 // against a restarted server completes the stranded operations.
 func TestSessionBrokenSurfaced(t *testing.T) {
-	cluster := NewCluster(WithInProcessNetwork(NetFree))
+	cluster := NewCluster()
 	logDev := NewMemDevice(LatencyModel{}, 2)
 	defer logDev.Close()
 	ckptDev := NewMemDevice(LatencyModel{}, 2)
@@ -344,6 +343,89 @@ func TestSessionBrokenSurfaced(t *testing.T) {
 	v, err := cl.Get(rctx, []byte("during"))
 	if err != nil || !bytes.Equal(v, []byte("crash")) {
 		t.Fatalf("recovered write = %q, %v", v, err)
+	}
+}
+
+// TestDeleteAsync: the future-returning delete removes a key like the
+// synchronous one, and deleting a key that was never set also succeeds (a
+// delete writes a tombstone; it does not look the key up).
+func TestDeleteAsync(t *testing.T) {
+	cluster, _ := testCluster(t)
+	cl, err := Dial(cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if err := cl.Set(ctx, k(1), val(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][]byte{k(1), []byte("never-set")} {
+		f := cl.DeleteAsync(key)
+		cl.Flush()
+		if _, err := f.Wait(ctx); err != nil {
+			t.Fatalf("DeleteAsync(%s) = %v", key, err)
+		}
+		f.Release()
+		if _, err := cl.Get(ctx, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%s) after DeleteAsync = %v, want ErrNotFound", key, err)
+		}
+	}
+}
+
+// TestFailBrokenSessions: giving up on a dead server fails exactly the
+// operations parked on its session, with ErrSessionBroken, and leaves a
+// client that dials fresh once a server is back.
+func TestFailBrokenSessions(t *testing.T) {
+	cluster, srv := testCluster(t)
+	cl, err := Dial(cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := cl.Set(ctx, k(0), val(0)); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	const n = 5
+	futs := make([]*Future, n)
+	for i := range futs {
+		futs[i] = cl.SetAsync(k(i), val(i))
+	}
+	for cl.BrokenSessions() == 0 { // the flush or a poll meets the dead conn
+		if ctx.Err() != nil {
+			t.Fatal("session to the closed server never broke")
+		}
+		cl.Flush()
+	}
+	if got := cl.FailBrokenSessions(); got != n {
+		t.Fatalf("FailBrokenSessions failed %d ops, want %d", got, n)
+	}
+	for i, f := range futs {
+		if _, err := f.Wait(ctx); !errors.Is(err, ErrSessionBroken) {
+			t.Fatalf("future %d = %v, want ErrSessionBroken", i, err)
+		}
+		f.Release()
+	}
+	if cl.BrokenSessions() != 0 || cl.Outstanding() != 0 {
+		t.Fatalf("after FailBrokenSessions: %d broken sessions, %d outstanding",
+			cl.BrokenSessions(), cl.Outstanding())
+	}
+
+	srv2, err := NewServer(cluster, "s1", WithThreads(1), WithIndexBuckets(1<<10),
+		WithMemoryBudget(12, 16, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if err := cl.Set(ctx, k(7), val(7)); err != nil {
+		t.Fatalf("Set against the restarted server = %v", err)
+	}
+	if v, err := cl.Get(ctx, k(7)); err != nil || !bytes.Equal(v, val(7)) {
+		t.Fatalf("Get against the restarted server = %q, %v", v, err)
 	}
 }
 

@@ -11,28 +11,17 @@ import (
 )
 
 // Transport moves frames between clients and servers. The concrete
-// implementations are constructed through Cluster options (in-process
-// channels or real TCP), each charging the CPU cost model of the network
-// stack it simulates.
+// implementations are in-process channels (NewCluster's default) or real TCP
+// (WithTCPNetwork); neither simulates a network.
 type Transport = transport.Transport
 
-// NetworkProfile is the CPU cost model of a simulated network stack
-// (per-frame and per-byte busy-spin on both sides; Table 2 of the paper).
+// NetworkProfile has no fields and NetFree is its only value: a transport
+// costs what the host charges for it. The frozen benchmark/ pins
+// WithTCPNetwork's parameter; the next [benchmark] PR may drop it.
 type NetworkProfile = transport.CostModel
 
-// The paper's network configurations, plus a free profile for tests.
-var (
-	// NetAccelerated models SmartNIC-offloaded Linux TCP.
-	NetAccelerated = transport.AcceleratedTCP
-	// NetSoftware models the full software TCP stack.
-	NetSoftware = transport.SoftwareTCP
-	// NetInfrc models two-sided RDMA (hardware stack, near-zero CPU).
-	NetInfrc = transport.Infrc
-	// NetTCPIPoIB models TCP over IPoIB.
-	NetTCPIPoIB = transport.TCPIPoIB
-	// NetFree charges nothing (unit tests, functional runs).
-	NetFree = transport.Free
-)
+// NetFree is the only NetworkProfile.
+var NetFree = transport.Free
 
 // Cluster bundles the fixtures every deployment shares: the metadata
 // provider (the paper's ZooKeeper stand-in) and the transport. Servers and
@@ -54,21 +43,13 @@ type Cluster struct {
 // ClusterOption configures NewCluster.
 type ClusterOption func(*Cluster)
 
-// WithInProcessNetwork selects the in-process channel transport with the
-// given cost profile (single-binary deployments; the default, with
-// NetAccelerated).
-func WithInProcessNetwork(profile NetworkProfile) ClusterOption {
-	return func(c *Cluster) { c.tr = transport.NewInMem(profile) }
-}
-
-// WithTCPNetwork selects real kernel TCP with length-prefixed frames and the
-// given cost profile.
+// WithTCPNetwork selects real kernel TCP with length-prefixed frames.
 func WithTCPNetwork(profile NetworkProfile) ClusterOption {
 	return func(c *Cluster) { c.tr = transport.NewTCP(profile) }
 }
 
-// WithTransport installs a caller-provided transport (custom cost models,
-// test doubles).
+// WithTransport installs a caller-provided transport (decorators, test
+// doubles).
 func WithTransport(tr Transport) ClusterOption {
 	return func(c *Cluster) { c.tr = tr }
 }
@@ -85,11 +66,11 @@ func WithRemoteMetadata(addr string) ClusterOption {
 }
 
 // NewCluster creates the shared fixtures for one deployment. The default
-// transport is in-process with the accelerated-TCP cost profile.
+// transport is in-process channels (single-binary deployments and tests).
 func NewCluster(opts ...ClusterOption) *Cluster {
 	c := &Cluster{
 		meta: metadata.NewStore(),
-		tr:   transport.NewInMem(transport.AcceleratedTCP),
+		tr:   transport.NewInMem(transport.Free),
 	}
 	for _, o := range opts {
 		o(c)
@@ -173,25 +154,27 @@ func (c *Cluster) Discover(ctx context.Context, addr string) (ServerStats, error
 	return serverStatsFromWire(resp), nil
 }
 
-// Device is a simulated (or file-backed) storage device for HybridLogs and
+// Device is an in-memory or file-backed storage device for HybridLogs and
 // checkpoint images.
 type Device = storage.Device
 
-// MemDevice is an in-memory Device with a latency/IOPS model.
+// MemDevice is an in-memory Device.
 type MemDevice = storage.MemDevice
 
 // FileDevice is a real file-backed Device.
 type FileDevice = storage.FileDevice
 
-// SharedTier is the shared remote storage tier (the paper's cloud blobs,
-// §2.2) that decouples migration from local SSD I/O.
+// SharedTier is the in-memory stand-in for the shared remote storage tier
+// (the paper's cloud blobs, §2.2) that decouples migration from local SSD
+// I/O.
 type SharedTier = storage.SharedTier
 
-// LatencyModel parameterizes a Device's simulated performance.
+// LatencyModel has no fields: devices run at the speed of what backs them.
+// The frozen benchmark/ pins the constructors' parameter; the next
+// [benchmark] PR may drop it.
 type LatencyModel = storage.LatencyModel
 
-// NewMemDevice creates an in-memory device with the given latency model and
-// I/O worker count.
+// NewMemDevice creates an in-memory device with the given I/O worker count.
 func NewMemDevice(model LatencyModel, workers int) *MemDevice {
 	return storage.NewMemDevice(model, workers)
 }
@@ -201,7 +184,7 @@ func NewFileDevice(path string, model LatencyModel, workers int) (*FileDevice, e
 	return storage.NewFileDevice(path, model, workers)
 }
 
-// NewSharedTier creates a shared remote tier with the given latency model.
+// NewSharedTier creates an empty shared remote tier.
 func NewSharedTier(model LatencyModel) *SharedTier {
 	return storage.NewSharedTier(model)
 }

@@ -12,7 +12,7 @@
 // # Shape of the API
 //
 // A Cluster bundles the deployment-wide fixtures: the metadata store (the
-// paper's ZooKeeper stand-in) and the transport with its network cost model.
+// paper's ZooKeeper stand-in) and the transport (in-process, or kernel TCP).
 // Servers and clients are created against a Cluster:
 //
 //	cluster := shadowfax.NewCluster()

@@ -13,7 +13,7 @@ import (
 // ExampleClient boots a server in-process, connects a client, and runs the
 // four data-plane operations synchronously.
 func ExampleClient() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	srv, err := shadowfax.NewServer(cluster, "server-1")
 	if err != nil {
 		log.Fatal(err)
@@ -62,7 +62,7 @@ func ExampleClient() {
 // ExampleClient_async pipelines a burst of writes through pooled Futures and
 // settles them with one Drain.
 func ExampleClient_async() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	srv, err := shadowfax.NewServer(cluster, "server-1")
 	if err != nil {
 		log.Fatal(err)
@@ -99,7 +99,7 @@ func ExampleClient_async() {
 // ExampleNewServer carves the hash space across two servers; the client
 // routes by ownership.
 func ExampleNewServer() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	half := ^uint64(0) / 2
 	for i, rng := range []shadowfax.HashRange{
 		{Start: 0, End: half},
@@ -135,7 +135,7 @@ func ExampleNewServer() {
 // ExampleAdmin drives the control plane: a durable checkpoint and a stats
 // snapshot over the wire.
 func ExampleAdmin() {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	ckptDev := shadowfax.NewMemDevice(shadowfax.LatencyModel{}, 2)
 	defer ckptDev.Close()
 	srv, err := shadowfax.NewServer(cluster, "server-1",

@@ -29,7 +29,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // every acknowledged write back — zero acked-write loss — then keeps writing
 // against the promoted server.
 func TestReplicationFailover(t *testing.T) {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	defer cluster.Close()
 
 	primary, err := shadowfax.NewServer(cluster, "p", shadowfax.WithThreads(2))
@@ -138,7 +138,7 @@ func TestReplicationFailover(t *testing.T) {
 // the standby dies mid-stream, the primary detaches it (releasing held
 // responses) and keeps serving with no replica attached.
 func TestReplicationBackupDeath(t *testing.T) {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	defer cluster.Close()
 
 	primary, err := shadowfax.NewServer(cluster, "p", shadowfax.WithThreads(2))
@@ -196,7 +196,7 @@ func TestReplicationBackupDeath(t *testing.T) {
 // survivors, the server retires from the metadata store, and every key is
 // still readable. Draining the last server standing is refused.
 func TestDrainScaleIn(t *testing.T) {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	defer cluster.Close()
 
 	mid := uint64(1) << 63

@@ -17,7 +17,7 @@ import (
 // retire it from the metadata store, all while a live client keeps writing.
 // The drained server's keys must survive on the new owner.
 func TestAutoScaleInDrainsColdServer(t *testing.T) {
-	cluster := shadowfax.NewCluster(shadowfax.WithInProcessNetwork(shadowfax.NetFree))
+	cluster := shadowfax.NewCluster()
 	defer cluster.Close()
 
 	coldStart := uint64(3) << 62 // top quarter of the hash space

@@ -163,12 +163,13 @@ type AutoScaleConfig struct {
 func WithAutoScale(cfg AutoScaleConfig) ServerOption {
 	return func(sc *serverConfig) {
 		sc.cfg.AutoScale = true
-		sc.cfg.AutoScaleEvery = cfg.Every
-		sc.cfg.AutoScaleImbalance = cfg.Imbalance
-		sc.cfg.AutoScaleCooldown = cfg.Cooldown
-		sc.cfg.AutoScaleMinRate = cfg.MinOpsPerSec
-		sc.cfg.AutoScaleMaxConcurrent = cfg.MaxConcurrent
-		sc.cfg.SpawnStandby = cfg.SpawnStandby
+		b := &sc.cfg.Balancer
+		b.Every = cfg.Every
+		b.Imbalance = cfg.Imbalance
+		b.Cooldown = cfg.Cooldown
+		b.MinOpsPerSec = cfg.MinOpsPerSec
+		b.MaxConcurrent = cfg.MaxConcurrent
+		b.SpawnStandby = cfg.SpawnStandby
 	}
 }
 
@@ -261,10 +262,11 @@ type ScaleInConfig struct {
 // Manual equivalent: Admin.Drain.
 func WithScaleIn(cfg ScaleInConfig) ServerOption {
 	return func(sc *serverConfig) {
-		sc.cfg.ScaleIn = true
-		sc.cfg.ScaleInBelowRate = cfg.BelowOpsPerSec
-		sc.cfg.ScaleInAfterPasses = cfg.AfterPasses
-		sc.cfg.ScaleInMinServers = cfg.MinServers
+		b := &sc.cfg.Balancer
+		b.ScaleIn = true
+		b.ScaleInBelowOps = cfg.BelowOpsPerSec
+		b.ScaleInAfterPasses = cfg.AfterPasses
+		b.MinServers = cfg.MinServers
 	}
 }
 
