@@ -46,7 +46,7 @@ func (a *Admin) roundTrip(ctx context.Context, addr string, req []byte, want wir
 
 // rpc is roundTrip against a registered server ID.
 func (a *Admin) rpc(ctx context.Context, serverID string, req []byte, want wire.MsgType) ([]byte, error) {
-	addr, err := a.meta.ServerAddr(serverID)
+	addr, err := serverAddr(a.meta, serverID)
 	if err != nil {
 		return nil, err
 	}
@@ -146,11 +146,11 @@ func (a *Admin) BalanceStatus(ctx context.Context, serverID string) (wire.Balanc
 // Stats fetches a snapshot of serverID's identity, ownership view and
 // counters.
 func (a *Admin) Stats(ctx context.Context, serverID string) (wire.StatsResp, error) {
-	addr, err := a.meta.ServerAddr(serverID)
+	frame, err := a.rpc(ctx, serverID, wire.EncodeStatsReq(), wire.MsgStatsResp)
 	if err != nil {
 		return wire.StatsResp{}, err
 	}
-	return a.StatsAddr(ctx, addr)
+	return wire.DecodeStatsResp(frame)
 }
 
 // StatsAddr is Stats against a transport address rather than a registered

@@ -95,7 +95,7 @@ type Thread struct {
 	id          uint64
 	dialed      uint64 // sessions ever dialed: the next session id's low bits
 	sessions    map[string]*session
-	ownership   map[string]metadata.View
+	cluster     *metadata.Snapshot // the cached cluster state operations route on
 	outstanding int
 	closed      bool
 
@@ -156,26 +156,26 @@ func NewThread(cfg Config) (*Thread, error) {
 	return t, nil
 }
 
-// refreshOwnership re-reads the ownership mappings from the metadata store
-// and updates every session's cached view.
+// refreshOwnership re-reads the cluster snapshot (a provider cut off from its
+// endpoint returns the last one it saw) and updates every session's view.
 func (t *Thread) refreshOwnership() {
-	t.ownership = t.cfg.Meta.Ownership()
+	t.cluster, _ = t.cfg.Meta.Snapshot()
 	t.stats.Refreshes++
 	for id, s := range t.sessions {
-		if v, ok := t.ownership[id]; ok {
+		if v, err := t.cluster.GetView(id); err == nil {
 			s.view = v
 		}
 	}
 }
 
-// ownerOf returns the server owning hash h per the cached mappings.
-func (t *Thread) ownerOf(h uint64) (string, bool) {
-	for id, v := range t.ownership {
-		if v.Owns(h) {
-			return id, true
-		}
+// serverAddr resolves id's address in the provider's current state, not a
+// cached snapshot: a dial may follow the server's move to a new address.
+func serverAddr(meta metadata.Provider, id string) (string, error) {
+	snap, err := meta.Snapshot()
+	if err != nil {
+		return "", err
 	}
-	return "", false
+	return snap.ServerAddr(id)
 }
 
 // sessionFor returns (dialing if necessary) the session to serverID.
@@ -188,7 +188,7 @@ func (t *Thread) sessionFor(serverID string) (*session, error) {
 		return nil, fmt.Errorf("client: %s unreachable (circuit open)", serverID)
 	}
 	var conn transport.Conn
-	addr, err := t.cfg.Meta.ServerAddr(serverID)
+	addr, err := serverAddr(t.cfg.Meta, serverID)
 	if err == nil {
 		conn, err = t.cfg.Transport.Dial(addr)
 	}
@@ -201,12 +201,8 @@ func (t *Thread) sessionFor(serverID string) (*session, error) {
 	// retirement shrink that map, and a re-dial reusing a dropped id, its seqs
 	// back at 0, would sit under the server's high-water mark for that id —
 	// the falsely-completed-writes hazard NewThread describes.
-	s := &session{
-		serverID: serverID,
-		conn:     conn,
-		view:     t.ownership[serverID],
-		bySeq:    make(map[uint32]int32),
-	}
+	s := &session{serverID: serverID, conn: conn, bySeq: make(map[uint32]int32)}
+	s.view, _ = t.cluster.GetView(serverID) // routed here, so it is registered
 	s.building.SessionID = t.id<<16 | t.dialed
 	t.dialed++
 	t.sessions[serverID] = s
@@ -263,10 +259,10 @@ func (t *Thread) Issue(kind wire.OpKind, key, value []byte, cb Callback) error {
 // session of its key's current owner, or completes it if it has no route.
 func (t *Thread) enqueue(i int32) error {
 	h := faster.HashOf(t.ops[i].Key)
-	owner, ok := t.ownerOf(h)
+	owner, ok := t.cluster.Owner(h)
 	if !ok {
 		t.refreshOwnership()
-		if owner, ok = t.ownerOf(h); !ok {
+		if owner, ok = t.cluster.Owner(h); !ok {
 			t.complete(i, wire.StatusNotOwner, nil)
 			return fmt.Errorf("client: no owner for key hash %#x", h)
 		}

@@ -178,10 +178,14 @@ func TestMigrateRPC(t *testing.T) {
 	}
 	// Migration registered at the metadata store.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(meta.PendingMigrationsFor("s1")) > 0 && time.Now().Before(deadline) {
+	pending := func() int {
+		snap, _ := meta.Snapshot()
+		return len(snap.PendingMigrationsFor("s1"))
+	}
+	for pending() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if len(meta.PendingMigrationsFor("s1")) != 0 {
+	if pending() != 0 {
 		t.Fatal("migration never completed")
 	}
 	// Operations still complete after the view change (reissue path).

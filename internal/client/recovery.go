@@ -55,7 +55,7 @@ func (t *Thread) RecoverSessions(timeout time.Duration) error {
 		return err
 	}
 	for id, s := range t.sessions {
-		if _, owns := t.ownership[id]; !owns {
+		if _, err := t.cluster.GetView(id); err != nil {
 			// The server was retired (scale-in drained its ranges and removed
 			// it from the metadata store). There is nothing to reconcile
 			// against: the session is dropped and its in-flight operations
@@ -63,7 +63,7 @@ func (t *Thread) RecoverSessions(timeout time.Duration) error {
 			retired = append(retired, s)
 			continue
 		}
-		addr, err := t.cfg.Meta.ServerAddr(id)
+		addr, err := t.cluster.ServerAddr(id)
 		if err != nil {
 			return fail(err)
 		}

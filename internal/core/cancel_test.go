@@ -30,7 +30,7 @@ func TestMigrationCancellationRollsBack(t *testing.T) {
 	}
 
 	// The dependency is pending for both sides.
-	if len(cl.meta.PendingMigrationsFor("src")) != 1 {
+	if snap, _ := cl.meta.Snapshot(); len(snap.PendingMigrationsFor("src")) != 1 {
 		t.Fatal("dependency not registered")
 	}
 
@@ -38,7 +38,8 @@ func TestMigrationCancellationRollsBack(t *testing.T) {
 	if err := cl.meta.CancelMigration(mig.ID); err != nil {
 		t.Fatal(err)
 	}
-	sv, _ := cl.meta.GetView("src")
+	snap, _ := cl.meta.Snapshot()
+	sv, _ := snap.GetView("src")
 	if !sv.Owns(1 << 61) {
 		t.Fatal("source did not regain the range")
 	}

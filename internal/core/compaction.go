@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faster"
 	"repro/internal/hlog"
+	"repro/internal/metadata"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -84,7 +85,16 @@ func (s *Server) Compact() (CompactStats, error) {
 
 	start := time.Now()
 	view := s.view.Load()
-	rel := newRelocator(s)
+	// The one metadata read of the pass, taken before the scan: the scan
+	// runs under the compaction session's epoch guard, where a provider call
+	// (a network RPC on a remote provider) could stall every global cut.
+	// Without a usable snapshot the relocator resolves no owner, which fails
+	// the pass only if it finds a record to relocate.
+	cluster, err := s.meta.Snapshot()
+	if err != nil {
+		cluster = &metadata.Snapshot{}
+	}
+	rel := newRelocator(s, cluster)
 
 	lg := s.store.Log()
 	st, end, cerr := s.compactAux.acquire(s.store).CompactScan(lg.SafeHeadAddress(),
@@ -243,11 +253,13 @@ func (s *Server) handleCompactReq(c transport.Conn) {
 }
 
 // relocator buffers disowned records per current owner and ships them as
-// MsgCompacted frames — the send side of §3.3.3's record relocation. Lookups
-// go through the metadata store's current ownership map (the server's own
-// view no longer covers these hashes, by definition).
+// MsgCompacted frames — the send side of §3.3.3's record relocation. Owners
+// and their addresses come from the cluster snapshot the pass took before
+// its scan (the server's own view no longer covers these hashes, by
+// definition).
 type relocator struct {
 	s       *Server
+	cluster *metadata.Snapshot
 	pending map[string][]faster.CollectedRecord
 	conns   map[string]transport.Conn
 	sent    map[string]int // MsgCompacted frames awaiting MsgAck, per owner
@@ -256,9 +268,10 @@ type relocator struct {
 	failed bool
 }
 
-func newRelocator(s *Server) *relocator {
+func newRelocator(s *Server, cluster *metadata.Snapshot) *relocator {
 	return &relocator{
 		s:       s,
+		cluster: cluster,
 		pending: make(map[string][]faster.CollectedRecord),
 		conns:   make(map[string]transport.Conn),
 		sent:    make(map[string]int),
@@ -281,8 +294,8 @@ func (r *relocator) add(rec faster.CollectedRecord) bool {
 	if r.failed {
 		return false // pass already doomed: abort the scan
 	}
-	owner, _, err := r.s.meta.OwnerOf(rec.Hash)
-	if err != nil || owner == r.s.cfg.ID {
+	owner, ok := r.cluster.Owner(rec.Hash)
+	if !ok || owner == r.s.cfg.ID {
 		r.failed = true
 		return false
 	}
@@ -308,7 +321,7 @@ func (r *relocator) ship(owner string, recs []faster.CollectedRecord) {
 func (r *relocator) sendCompacted(owner string, recs []wire.MigrationRecord) bool {
 	c, ok := r.conns[owner]
 	if !ok {
-		addr, err := r.s.meta.ServerAddr(owner)
+		addr, err := r.cluster.ServerAddr(owner)
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,9 +233,14 @@ func TestCompactionTombstoneGCAcrossRecovery(t *testing.T) {
 // owner (the MsgCompacted send side), and reads keep resolving even after
 // the source's shared-tier prefix — the indirection records' target — has
 // been reclaimed.
+//
+// The pass reads the metadata provider exactly once, before its scan: the
+// scan runs under the compaction session's epoch guard, where a provider
+// call — a network RPC with a remote provider — would stall every global cut.
 func TestCompactionRelocationLandsOnOwner(t *testing.T) {
 	cl := newCluster()
-	src := cl.newServer(t, "src", 2, metadata.FullRange)
+	meta := &countingProvider{Store: cl.meta}
+	src := cl.newServerOn(t, meta, "src", 2, metadata.FullRange)
 	dst := cl.newServer(t, "dst", 2)
 	ct := cl.newClient(t)
 
@@ -248,12 +256,17 @@ func TestCompactionRelocationLandsOnOwner(t *testing.T) {
 	}
 	waitMigrationsDone(t, cl.meta, 15*time.Second)
 
+	meta.snapshots.Store(0)
 	st, err := src.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Relocated == 0 {
 		t.Fatalf("no disowned records relocated: %+v", st)
+	}
+	if n, under := meta.snapshots.Load(), meta.underScan.Load(); n != 1 || under != 0 {
+		t.Fatalf("pass with %d relocations took %d snapshots, %d of them from inside the scan; want 1 and 0",
+			st.Relocated, n, under)
 	}
 	if got := src.Stats().CompactRelocated.Load(); got != uint64(st.Relocated) {
 		t.Fatalf("relocation counter %d != pass stat %d", got, st.Relocated)
@@ -273,6 +286,30 @@ func TestCompactionRelocationLandsOnOwner(t *testing.T) {
 	// now retired beneath the indirection records.
 	verifyKeys(t, ct, n)
 	_ = dst
+}
+
+// countingProvider counts a server's Snapshot calls, and separately those
+// made from inside a compaction scan or the relocator it feeds.
+type countingProvider struct {
+	*metadata.Store
+	snapshots, underScan atomic.Int64
+}
+
+func (p *countingProvider) Snapshot() (*metadata.Snapshot, error) {
+	p.snapshots.Add(1)
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, "CompactScan") || strings.Contains(f.Function, "relocator") {
+			p.underScan.Add(1)
+			break
+		}
+		if !more {
+			break
+		}
+	}
+	return p.Store.Snapshot()
 }
 
 // TestCompactionRelocationFailureKeepsPrefix: when relocated records cannot

@@ -35,10 +35,17 @@ func newCluster() *cluster {
 // frames).
 func (cl *cluster) newServer(t testing.TB, id string, threads int, ranges ...metadata.HashRange) *Server {
 	t.Helper()
+	return cl.newServerOn(t, cl.meta, id, threads, ranges...)
+}
+
+// newServerOn is newServer with the server reaching the cluster's metadata
+// store through meta (a test's instrumented wrapper around cl.meta).
+func (cl *cluster) newServerOn(t testing.TB, meta metadata.Provider, id string, threads int, ranges ...metadata.HashRange) *Server {
+	t.Helper()
 	dev := storage.NewMemDevice(storage.LatencyModel{}, 4)
 	s, err := NewServer(ServerConfig{
 		ID: id, Addr: id, Threads: threads,
-		Transport: cl.tr, Meta: cl.meta,
+		Transport: cl.tr, Meta: meta,
 		Store: faster.Config{
 			IndexBuckets: 1 << 10,
 			Log: hlog.Config{PageBits: 12, MemPages: 16, MutablePages: 8,
@@ -524,8 +531,11 @@ func waitMigrationsDone(t *testing.T, meta *metadata.Store, timeout time.Duratio
 	deadline := time.Now().Add(timeout)
 	for {
 		pending := 0
-		for _, id := range meta.Servers() {
-			pending += len(meta.PendingMigrationsFor(id))
+		snap, _ := meta.Snapshot()
+		for _, m := range snap.Migrations {
+			if m.InFlight() {
+				pending++
+			}
 		}
 		if pending == 0 {
 			return

@@ -79,15 +79,11 @@ func (s *Server) handleBalanceStatusReq(c transport.Conn) {
 	}
 	// The in-flight migration set is cluster state, not balancer state:
 	// every server reports it (with per-migration epochs), balancer or not.
-	for _, m := range s.meta.Migrations() {
-		if !m.InFlight() {
-			continue
+	snap, _ := s.meta.Snapshot() // degraded: the stale set, flagged by DegradedMs
+	for _, m := range snap.Migrations {
+		if m.InFlight() {
+			resp.InFlight = append(resp.InFlight, m)
 		}
-		resp.InFlight = append(resp.InFlight, wire.MetaMigration{
-			ID: m.ID, Epoch: m.Epoch, Source: m.Source, Target: m.Target,
-			RangeStart: m.Range.Start, RangeEnd: m.Range.End,
-			SourceDone: m.SourceDone, TargetDone: m.TargetDone,
-		})
 	}
 	c.Send(wire.EncodeBalanceStatusResp(&resp)) //nolint:errcheck // conn errors surface on the next poll
 }

@@ -75,9 +75,10 @@ func (s *Server) Drain() (DrainReport, error) {
 // drainTargets lists every other registered, non-retired server.
 func (s *Server) drainTargets() []string {
 	var targets []string
-	for _, id := range s.meta.Servers() {
-		if id != s.cfg.ID {
-			targets = append(targets, id)
+	snap, _ := s.meta.Snapshot() // a stale list is refused by StartMigration, not here
+	for _, e := range snap.Servers {
+		if e.ID != s.cfg.ID {
+			targets = append(targets, e.ID)
 		}
 	}
 	return targets
@@ -107,7 +108,11 @@ func (s *Server) drainRange(target string, rng metadata.HashRange) error {
 	}
 	deadline := time.Now().Add(drainMigrationTimeout)
 	for {
-		m, gerr := s.meta.GetMigration(id)
+		snap, gerr := s.meta.Snapshot()
+		var m metadata.MigrationState
+		if gerr == nil {
+			m, gerr = snap.GetMigration(id)
+		}
 		if errors.Is(gerr, metadata.ErrUnknownMigration) {
 			return nil // completed and collected
 		}

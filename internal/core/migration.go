@@ -156,7 +156,11 @@ func (s *Server) StartMigration(target string, rng metadata.HashRange) (uint64, 
 		s.migMu.Unlock()
 		return 0, fmt.Errorf("core: compaction pass in flight; retry migration shortly")
 	}
-	tgtAddr, err := s.meta.ServerAddr(target)
+	var tgtAddr string
+	snap, err := s.meta.Snapshot()
+	if err == nil {
+		tgtAddr, err = snap.ServerAddr(target)
+	}
 	if err != nil {
 		s.migMu.Unlock()
 		return 0, err
@@ -505,19 +509,19 @@ func (s *Server) LastMigrationReport() MigrationReport {
 // ---------------------------------------------------------------------------
 // Target side
 
-// discoverTargetMigration checks the metadata store for inbound
-// migrations; the target may learn about them from client traffic (view
-// mismatch → refresh) before the sources' PrepForTransfer frames arrive. It
-// also retires inbound migrations that were cancelled, so operations pended
-// on their ranges become decidable again.
-func (s *Server) discoverTargetMigration() {
+// discoverTargetMigration checks snap — the snapshot refreshView just took —
+// for inbound migrations; the target may learn about them from client
+// traffic (view mismatch → refresh) before the sources' PrepForTransfer
+// frames arrive. It also retires inbound migrations that were cancelled, so
+// operations pended on their ranges become decidable again.
+func (s *Server) discoverTargetMigration(snap *metadata.Snapshot) {
 	live := make(map[uint64]bool) //shadowfax:ignore hotpathalloc runs only on a view-number mismatch (migration discovery), not on steady-state batches
-	for _, m := range s.meta.PendingMigrationsFor(s.cfg.ID) {
+	for _, m := range snap.PendingMigrationsFor(s.cfg.ID) {
 		if m.Target != s.cfg.ID || m.TargetDone || m.Cancelled {
 			continue
 		}
 		live[m.ID] = true
-		s.ensureTargetMigration(m.ID, m.Source, m.Range)
+		s.ensureTargetMigration(snap, m.ID, m.Source, m.Range)
 	}
 	s.migMu.Lock()
 	var stale []*targetMigration
@@ -527,10 +531,8 @@ func (s *Server) discoverTargetMigration() {
 		}
 	}
 	s.migMu.Unlock()
-	// The metadata reads happen outside migMu: dispatchers take migMu on
-	// every batch and must never wait on a provider call.
 	for _, tm := range stale {
-		m, err := s.meta.GetMigration(tm.migID)
+		m, err := snap.GetMigration(tm.migID)
 		if err != nil || !m.Cancelled {
 			continue
 		}
@@ -544,8 +546,10 @@ func (s *Server) discoverTargetMigration() {
 // nil when the migration is already retired on this server — finished,
 // cancelled, or collected — because re-creating it would lay a fence at the
 // current tail over the live records the migration delivered (see
-// targetsRetired). Callers must treat nil as "this migration is over".
-func (s *Server) ensureTargetMigration(id uint64, source string, rng metadata.HashRange) *targetMigration {
+// targetsRetired). Callers must treat nil as "this migration is over". snap
+// is the cluster state the caller already holds, or nil to have a first
+// sight take its own.
+func (s *Server) ensureTargetMigration(snap *metadata.Snapshot, id uint64, source string, rng metadata.HashRange) *targetMigration {
 	s.migMu.Lock()
 	if _, done := s.targetsRetired[id]; done {
 		s.migMu.Unlock()
@@ -559,11 +563,14 @@ func (s *Server) ensureTargetMigration(id uint64, source string, rng metadata.Ha
 
 	// First sight of this id. Confirm against the metadata store (outside
 	// migMu — dispatchers must never wait on a provider call under it) that
-	// the migration is genuinely live: a stale PendingMigrationsFor snapshot
-	// or a recovering source's duplicate control frame can name a migration
-	// this server already finished. An unknown id means the dependency was
-	// collected — equally over.
-	if m, err := s.meta.GetMigration(id); err != nil || m.TargetDone || m.Cancelled {
+	// the migration is genuinely live: a recovering source's duplicate
+	// control frame can name a migration this server already finished. An
+	// unknown id means the dependency was collected — equally over.
+	var err error
+	if snap == nil {
+		snap, err = s.meta.Snapshot()
+	}
+	if m, gerr := snap.GetMigration(id); err != nil || gerr != nil || m.TargetDone || m.Cancelled {
 		s.retireTarget(id)
 		return nil
 	}
@@ -611,14 +618,14 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 	switch m.Type {
 	case wire.MsgPrepForTransfer:
 		s.refreshView()
-		s.ensureTargetMigration(m.MigrationID, m.SourceID,
+		s.ensureTargetMigration(nil, m.MigrationID, m.SourceID,
 			metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd})
 		ack := wire.MigrationMsg{Type: wire.MsgAck, MigrationID: m.MigrationID}
 		c.Send(wire.EncodeMigrationMsg(&ack))
 
 	case wire.MsgTransferOwnership:
 		s.refreshView()
-		tm := s.ensureTargetMigration(m.MigrationID, m.SourceID,
+		tm := s.ensureTargetMigration(nil, m.MigrationID, m.SourceID,
 			metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd})
 		if tm != nil {
 			// Install the sampled hot records, then begin serving the range
@@ -633,7 +640,7 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 		c.Send(wire.EncodeMigrationMsg(&ack))
 
 	case wire.MsgMigrationRecords:
-		tm := s.ensureTargetMigration(m.MigrationID, m.SourceID,
+		tm := s.ensureTargetMigration(nil, m.MigrationID, m.SourceID,
 			metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd})
 		if tm != nil {
 			installRecords(d.sess, tm, m.Records)
@@ -654,7 +661,7 @@ func (d *dispatcher) handleMigrationMsg(c transport.Conn, m *wire.MigrationMsg) 
 		}
 
 	case wire.MsgCompleteMigration:
-		tm := s.ensureTargetMigration(m.MigrationID, m.SourceID,
+		tm := s.ensureTargetMigration(nil, m.MigrationID, m.SourceID,
 			metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd})
 		if tm != nil {
 			tm.finishOnce.Do(func() { go tm.finish() }) //shadowfax:ignore epochblock the once body only spawns a goroutine; whichever dispatcher wins runs it inline and returns immediately

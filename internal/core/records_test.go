@@ -67,7 +67,7 @@ func TestRecordFramesMatchWireSeeds(t *testing.T) {
 	s := &Server{cfg: ServerConfig{ID: "s1"}}
 	sm := &sourceMigration{s: s, mig: metadata.MigrationState{ID: 7},
 		rng: metadata.HashRange{Start: 100, End: 900}}
-	rel := newRelocator(s)
+	rel := newRelocator(s, &metadata.Snapshot{})
 	sink := &frameSink{}
 	rel.conns["s2"] = sink
 

@@ -589,8 +589,12 @@ func (s *Server) runReplicaSession() (promoted, attached bool) {
 	// registration with an unsynced one. With the primary already dead that
 	// reset is irreversible (no primary means no fresh base sync), and it
 	// would permanently destroy the standby's promotion eligibility.
-	paddr, err := s.meta.ServerAddr(primaryID)
-	if err != nil || paddr == "" {
+	snap, err := s.meta.Snapshot()
+	if err != nil {
+		return false, false
+	}
+	paddr, err := snap.ServerAddr(primaryID)
+	if err != nil {
 		return false, false
 	}
 	conn, err := s.cfg.Transport.Dial(paddr)

@@ -395,14 +395,6 @@ func NewServer(cfg ServerConfig, initial ...metadata.HashRange) (*Server, error)
 			s.store.Close()
 			return nil, fmt.Errorf("core: %s: restore refused: %w", cfg.ID, err)
 		}
-		if v.Number == 0 {
-			// A restored view always has number ≥ 1; zero means a remote
-			// metadata provider could not reach its endpoint — fail startup
-			// rather than run unregistered (same guard as fresh
-			// registration below).
-			s.store.Close()
-			return nil, fmt.Errorf("core: %s: metadata provider unavailable (restore failed)", cfg.ID)
-		}
 		s.view.Store(&v)
 	} else if cfg.ReplicaOf != "" {
 		if images != nil && images.Generation() > 0 {
@@ -436,12 +428,11 @@ func NewServer(cfg ServerConfig, initial ...metadata.HashRange) (*Server, error)
 			return nil, err
 		}
 		s.store = st
-		v := cfg.Meta.RegisterServer(cfg.ID, initial...)
-		if v.Number == 0 {
-			// A registered view always has number ≥ 1; zero means a remote
-			// metadata provider could not reach its endpoint.
+		v, err := cfg.Meta.RegisterServer(cfg.ID, initial...)
+		if err != nil {
+			// Fail startup rather than run unregistered.
 			s.store.Close()
-			return nil, fmt.Errorf("core: %s: metadata provider unavailable (registration failed)", cfg.ID)
+			return nil, fmt.Errorf("core: %s: registration failed: %w", cfg.ID, err)
 		}
 		s.view.Store(&v)
 	}
@@ -517,7 +508,7 @@ func (s *Server) StatsSnapshot() wire.StatsResp {
 	resp := wire.StatsResp{
 		ServerID:   s.cfg.ID,
 		ViewNumber: view.Number,
-		Ranges:     make([]wire.Range, len(view.Ranges)),
+		Ranges:     view.Ranges,
 
 		OpsCompleted:    s.stats.OpsCompleted.Load(),
 		BatchesAccepted: s.stats.BatchesAccepted.Load(),
@@ -548,9 +539,6 @@ func (s *Server) StatsSnapshot() wire.StatsResp {
 	if b := s.balancer.Load(); b != nil {
 		resp.BalancePasses = b.Passes()
 		resp.BalanceMigrations = b.Triggered()
-	}
-	for i, r := range view.Ranges {
-		resp.Ranges[i] = wire.Range{Start: r.Start, End: r.End}
 	}
 	return resp
 }
@@ -629,27 +617,30 @@ func (s *Server) refreshView() metadata.View {
 		// to adopt (and every batch is rejected anyway).
 		return s.view.Load().Clone()
 	}
-	v, err := s.meta.GetView(s.cfg.ID)
+	snap, err := s.meta.Snapshot()
+	if err != nil {
+		return s.view.Load().Clone()
+	}
+	v, err := snap.GetView(s.cfg.ID)
 	if err != nil {
 		return s.view.Load().Clone()
 	}
 	s.stats.ViewRefreshes.Add(1)
 	// Discover inbound migrations — creating their state and laying their
-	// ownership fences — strictly BEFORE adopting the new view.
-	// StartMigration registers the migration record and the view change at
-	// one linearization point, so a view that grants this server a new range
-	// always arrives with a visible pending migration for it. Adopting the
-	// view first would open a window where another dispatcher accepts a
-	// batch under the new view with no covering migration state: a miss in
-	// the new range would read as authoritative NotFound (an RMW would ack a
-	// fresh initial value), and the fence laid moments later — at a tail
-	// above that write — would kill it.
-	s.discoverTargetMigration()
+	// ownership fences — strictly BEFORE adopting the new view, and from the
+	// SAME snapshot the view came from. StartMigration registers the
+	// migration record and the view change at one linearization point, so a
+	// snapshot whose view grants this server a new range also holds the
+	// pending migration for it. Adopting the view first would open a window
+	// where another dispatcher accepts a batch under the new view with no
+	// covering migration state: a miss in the new range would read as
+	// authoritative NotFound (an RMW would ack a fresh initial value), and
+	// the fence laid moments later — at a tail above that write — would
+	// kill it.
+	s.discoverTargetMigration(snap)
 	if sm := s.sourceState(); sm == nil || migPhase(sm.phase.Load()) >= phaseTransfer {
-		cur := s.view.Load()
-		if v.Number > cur.Number {
-			nv := v.Clone()
-			s.view.Store(&nv)
+		if v.Number > s.view.Load().Number {
+			s.view.Store(&v) // the snapshot's ranges are immutable; no copy
 		}
 	}
 	return v

@@ -323,17 +323,13 @@ func (b *Balancer) maybeReplicate() []string {
 	if b.cfg.SpawnStandby == nil {
 		return nil
 	}
-	registered := make(map[string]bool)
-	for _, id := range b.cfg.Meta.Servers() {
-		registered[id] = true
-	}
-	replicas := b.cfg.Meta.Replicas()
+	snap, _ := b.cfg.Meta.Snapshot() // a stale one still names who needs healing
 	var spawned []string
-	for _, id := range b.cfg.Meta.PromotedServers() {
-		if !registered[id] {
+	for _, id := range snap.Promoted {
+		if _, err := snap.GetView(id); err != nil {
 			continue // retired (or drained) since promotion; nothing to heal
 		}
-		if _, ok := replicas[id]; ok {
+		if _, ok := snap.Replica(id); ok {
 			continue // has a replica (possibly still base-syncing)
 		}
 		b.mu.Lock()
@@ -354,7 +350,10 @@ func (b *Balancer) maybeReplicate() []string {
 }
 
 func (b *Balancer) plan(ctx context.Context) Decision {
-	ids := b.cfg.Meta.Servers()
+	// One snapshot for the whole pass: the server list, who is busy and the
+	// in-flight count all describe the same instant.
+	snap, _ := b.cfg.Meta.Snapshot()
+	ids := snap.ServerIDs()
 	if len(ids) < 2 {
 		return Decision{Reason: "need at least two servers"}
 	}
@@ -421,10 +420,12 @@ func (b *Balancer) plan(ctx context.Context) Decision {
 	// the store's overlap rejection is the backstop if another balancer
 	// host races this pass.
 	busy := make(map[string]bool)
-	for _, m := range b.cfg.Meta.Migrations() {
+	inFlight := 0
+	for _, m := range snap.Migrations {
 		if m.InFlight() {
 			busy[m.Source] = true
 			busy[m.Target] = true
+			inFlight++
 		}
 	}
 
@@ -448,7 +449,7 @@ func (b *Balancer) plan(ctx context.Context) Decision {
 	})
 	if len(moves) == 0 {
 		// No split to make; a chronically cold server may be drainable.
-		if d, acted := b.maybeScaleIn(ctx, cands, rem); acted {
+		if d, acted := b.maybeScaleIn(ctx, cands, inFlight, rem); acted {
 			return d
 		}
 		return Decision{Reason: reason}
@@ -596,15 +597,9 @@ func planMoves(req planRequest) ([]Move, string) {
 // drain the coldest server whose rate sat below the low-water mark for
 // enough consecutive passes. Returns acted=true when a drain was attempted
 // (successfully or not) so the pass reports it and arms the cooldown.
-func (b *Balancer) maybeScaleIn(ctx context.Context, cands []moveCandidate, cooldown time.Duration) (Decision, bool) {
+func (b *Balancer) maybeScaleIn(ctx context.Context, cands []moveCandidate, inFlight int, cooldown time.Duration) (Decision, bool) {
 	if !b.cfg.ScaleIn {
 		return Decision{}, false
-	}
-	inFlight := 0
-	for _, m := range b.cfg.Meta.Migrations() {
-		if m.InFlight() {
-			inFlight++
-		}
 	}
 	b.mu.Lock()
 	streaks := make(map[string]int, len(b.coldStreak))
@@ -705,8 +700,7 @@ func splitPoint(st wire.StatsResp, minSamples int) (metadata.HashRange, string) 
 	// Bucket the samples by owned range; keep the hottest range.
 	var hot metadata.HashRange
 	var hotSamples []uint64
-	for _, wr := range st.Ranges {
-		r := metadata.HashRange{Start: wr.Start, End: wr.End}
+	for _, r := range st.Ranges {
 		var in []uint64
 		for _, h := range st.HashSample {
 			if r.Contains(h) {

@@ -20,7 +20,7 @@ import (
 type stubFleet struct {
 	mu     sync.Mutex
 	ops    map[string]uint64
-	ranges map[string]wire.Range
+	ranges map[string]metadata.HashRange
 	down   map[string]bool
 
 	expectMigrates int
@@ -37,7 +37,7 @@ type recordedMigrate struct {
 
 func newStubFleet(expectMigrates int) *stubFleet {
 	return &stubFleet{
-		ops: map[string]uint64{}, ranges: map[string]wire.Range{},
+		ops: map[string]uint64{}, ranges: map[string]metadata.HashRange{},
 		down: map[string]bool{}, expectMigrates: expectMigrates,
 		release: make(chan struct{}),
 	}
@@ -76,7 +76,7 @@ func (c *stubConn) Send(frame []byte) error {
 		rng := f.ranges[c.addr]
 		st := wire.StatsResp{
 			ServerID: c.addr, ViewNumber: 1,
-			Ranges:       []wire.Range{rng},
+			Ranges:       []metadata.HashRange{rng},
 			OpsCompleted: f.ops[c.addr],
 		}
 		f.mu.Unlock()
@@ -164,7 +164,7 @@ func TestBalancerPassWithUnreachableServerStillActsConcurrently(t *testing.T) {
 		store.RegisterServer(id, rng)
 		store.SetServerAddr(id, id)
 		fleet.mu.Lock()
-		fleet.ranges[id] = wire.Range{Start: rng.Start, End: rng.End}
+		fleet.ranges[id] = rng
 		fleet.mu.Unlock()
 	}
 	fleet.mu.Lock()

@@ -11,7 +11,6 @@ package ctlplane
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,48 +21,36 @@ import (
 )
 
 // ErrMetaUnavailable reports that the metadata endpoint could not be
-// reached and no cached snapshot exists to answer from.
+// reached; a Snapshot returned with it is the last one seen, older than
+// maxStaleness (or empty).
 var ErrMetaUnavailable = errors.New("ctlplane: metadata endpoint unavailable")
 
-// RemoteOptions tunes a RemoteProvider.
-type RemoteOptions struct {
-	// Timeout bounds one metadata RPC (default 3s).
-	Timeout time.Duration
-	// PollEvery is the watch loop's snapshot period (default 50ms). The
-	// loop starts with the first Watch call.
-	PollEvery time.Duration
-	// MaxStaleness bounds how long the cached snapshot may answer erroring
-	// reads (ServerAddr, GetView, OwnerOf) while the endpoint is
-	// unreachable (default 30s). Past the bound those reads fail with
-	// ErrMetaUnavailable instead of silently routing on arbitrarily stale
-	// views. Negative disables the bound.
-	MaxStaleness time.Duration
-}
-
-func (o RemoteOptions) withDefaults() RemoteOptions {
-	if o.Timeout == 0 {
-		o.Timeout = 3 * time.Second
-	}
-	if o.PollEvery == 0 {
-		o.PollEvery = 50 * time.Millisecond
-	}
-	if o.MaxStaleness == 0 {
-		o.MaxStaleness = 30 * time.Second
-	}
-	return o
-}
+const (
+	// rpcTimeout bounds one metadata RPC.
+	rpcTimeout = 3 * time.Second
+	// snapshotFreshFor is how long a snapshot answers reads without a new
+	// RPC. Every mutation response refreshes the cache too, so read bursts —
+	// a CLI stats invocation, a client re-resolving ownership during a
+	// migration — coalesce into one RPC instead of serializing on the
+	// connection.
+	snapshotFreshFor = 50 * time.Millisecond
+	// maxStaleness bounds how long the cached snapshot may stand in for an
+	// unreachable endpoint. Past it Snapshot adds ErrMetaUnavailable:
+	// routing on an arbitrarily dead snapshot is worse than failing.
+	maxStaleness = 30 * time.Second
+)
 
 // RemoteProvider implements metadata.Provider against a designated metadata
 // endpoint (a server backed by the in-process Store, which serves MsgMeta*
 // frames). Every mutation is one RPC — linearized by the backing Store —
-// and every response carries a full snapshot, which the provider caches.
-// Reads issue a snapshot RPC and fall back to the cache when the endpoint
-// is briefly unreachable, so a dispatcher refreshing its view never wedges
-// on a control-plane hiccup.
+// and every response carries the endpoint's snapshot, which the provider
+// keeps as its one cached value. Snapshot issues an RPC when that value is
+// older than snapshotFreshFor and falls back to it when the endpoint is
+// briefly unreachable, so a dispatcher refreshing its view never wedges on
+// a control-plane hiccup.
 type RemoteProvider struct {
 	tr   transport.Transport
 	addr string
-	opts RemoteOptions
 
 	// connMu serializes RPCs on the one persistent connection.
 	connMu sync.Mutex
@@ -76,64 +63,36 @@ type RemoteProvider struct {
 	// retryIn paces the in-call retry after a first-attempt failure.
 	retryIn backoff.Policy
 
-	// cacheMu guards the last observed snapshot and the watcher list.
-	cacheMu    sync.Mutex
-	haveSnap   bool
-	lastSnap   time.Time
-	revision   uint64
-	servers    map[string]remoteServer
-	migrations []metadata.MigrationState
-	replicas   map[string]metadata.ReplicaState
-	promoted   []string
-	watchers   []chan struct{}
-	// degradedSince is when the provider started serving from a cache it
-	// could not refresh (zero while healthy).
+	// cacheMu guards the last observed snapshot: snap is never nil, lastSnap
+	// is when it arrived (zero until the first response), and degradedSince
+	// is when the provider started serving a snapshot it could not refresh
+	// (zero while healthy).
+	cacheMu       sync.Mutex
+	snap          *metadata.Snapshot
+	lastSnap      time.Time
 	degradedSince time.Time
-
-	pollOnce sync.Once
-	quit     chan struct{}
-	wg       sync.WaitGroup
-	closed   bool
-}
-
-type remoteServer struct {
-	addr string
-	view metadata.View
 }
 
 // NewRemoteProvider builds a provider that forwards to the metadata
 // endpoint at addr over tr. The endpoint does not need to be up yet;
 // connections are (re)dialed lazily per RPC.
-func NewRemoteProvider(tr transport.Transport, addr string, opts RemoteOptions) *RemoteProvider {
-	return &RemoteProvider{
-		tr: tr, addr: addr, opts: opts.withDefaults(),
-		servers: make(map[string]remoteServer),
-		quit:    make(chan struct{}),
-	}
+func NewRemoteProvider(tr transport.Transport, addr string) *RemoteProvider {
+	return &RemoteProvider{tr: tr, addr: addr, snap: &metadata.Snapshot{}}
 }
 
-// Close stops the watch loop and closes the endpoint connection.
+// Close closes the endpoint connection.
 func (p *RemoteProvider) Close() error {
-	p.cacheMu.Lock()
-	if p.closed {
-		p.cacheMu.Unlock()
-		return nil
-	}
-	p.closed = true
-	close(p.quit)
-	p.cacheMu.Unlock()
-	p.wg.Wait()
 	p.connMu.Lock()
+	defer p.connMu.Unlock()
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
 	}
-	p.connMu.Unlock()
 	return nil
 }
 
 // do performs one metadata RPC: send req, await the MsgMetaResp, retry once
-// on a broken connection, and fold the response's snapshot into the cache.
+// on a broken connection, and keep the response's snapshot as the cache.
 //
 // Retry discipline: dial and send failures always retry (a length-prefixed
 // frame that failed to send was never decodable at the endpoint, so the op
@@ -173,7 +132,7 @@ func (p *RemoteProvider) do(req *wire.MetaReq) (wire.MetaResp, error) {
 		// The connection is private to the provider, so no other frame type
 		// is expected on it.
 		respFrame, err := transport.AwaitFrame(p.conn, byte(wire.MsgMetaResp),
-			time.Now().Add(p.opts.Timeout), nil)
+			time.Now().Add(rpcTimeout), nil)
 		if err != nil {
 			p.conn.Close()
 			p.conn = nil
@@ -192,7 +151,9 @@ func (p *RemoteProvider) do(req *wire.MetaReq) (wire.MetaResp, error) {
 			continue
 		}
 		p.breaker.Success()
-		p.absorb(&resp)
+		p.cacheMu.Lock()
+		p.snap, p.lastSnap, p.degradedSince = &resp.Snapshot, time.Now(), time.Time{}
+		p.cacheMu.Unlock()
 		return resp, nil
 	}
 	p.breaker.Failure()
@@ -200,8 +161,18 @@ func (p *RemoteProvider) do(req *wire.MetaReq) (wire.MetaResp, error) {
 	return wire.MetaResp{}, fmt.Errorf("%w: %v", ErrMetaUnavailable, lastErr)
 }
 
+// call is do for a mutation: the endpoint's refusal, rebuilt into the
+// metadata package's sentinel, is the error.
+func (p *RemoteProvider) call(req *wire.MetaReq) (wire.MetaResp, error) {
+	resp, err := p.do(req)
+	if err == nil {
+		err = metaError(&resp)
+	}
+	return resp, err
+}
+
 // markDegraded stamps the moment the provider started answering from a
-// cache it could not refresh; absorb clears it on the next success.
+// snapshot it could not refresh; the next response clears it.
 func (p *RemoteProvider) markDegraded() {
 	p.cacheMu.Lock()
 	if p.degradedSince.IsZero() {
@@ -211,77 +182,32 @@ func (p *RemoteProvider) markDegraded() {
 }
 
 // DegradedSince returns when the provider lost the metadata endpoint and
-// began serving stale cached views; zero while healthy.
+// began serving its stale snapshot; zero while healthy.
 func (p *RemoteProvider) DegradedSince() time.Time {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
 	return p.degradedSince
 }
 
-// absorb folds a response's snapshot into the cache and wakes watchers on a
-// revision change.
-func (p *RemoteProvider) absorb(resp *wire.MetaResp) {
+// Snapshot returns the endpoint's state: the cached value while it is
+// fresh, otherwise the answer to one snapshot RPC. When the endpoint is
+// unreachable the cached value keeps answering, with a nil error inside
+// maxStaleness and with ErrMetaUnavailable beyond it (or when there never
+// was a response) — the one place the staleness rule lives.
+func (p *RemoteProvider) Snapshot() (*metadata.Snapshot, error) {
 	p.cacheMu.Lock()
-	changed := !p.haveSnap || resp.Revision != p.revision
-	p.haveSnap = true
-	p.lastSnap = time.Now()
-	p.degradedSince = time.Time{}
-	p.revision = resp.Revision
-	p.servers = make(map[string]remoteServer, len(resp.Servers))
-	for i := range resp.Servers {
-		s := &resp.Servers[i]
-		p.servers[s.ID] = remoteServer{
-			addr: s.Addr,
-			view: metadata.View{Number: s.ViewNumber, Ranges: rangesFromWire(s.Ranges)},
-		}
-	}
-	p.migrations = p.migrations[:0]
-	for i := range resp.Migrations {
-		p.migrations = append(p.migrations, migrationFromWire(&resp.Migrations[i]))
-	}
-	p.replicas = make(map[string]metadata.ReplicaState, len(resp.Replicas))
-	for _, r := range resp.Replicas {
-		p.replicas[r.PrimaryID] = metadata.ReplicaState{
-			PrimaryID: r.PrimaryID, Addr: r.Addr, Synced: r.Synced,
-		}
-	}
-	p.promoted = append(p.promoted[:0], resp.Promoted...)
-	var wake []chan struct{}
-	if changed {
-		wake = append(wake, p.watchers...)
-	}
+	snap, age := p.snap, time.Since(p.lastSnap)
 	p.cacheMu.Unlock()
-	for _, ch := range wake {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	if age < snapshotFreshFor {
+		return snap, nil
 	}
-}
-
-// refresh brings the cache up to date, issuing a snapshot RPC unless one
-// landed within the last PollEvery (every mutation response and the watch
-// loop also refresh the cache, so read bursts — a CLI stats invocation, a
-// client re-resolving ownership during a migration — coalesce into one RPC
-// instead of serializing on the connection). Returns false when the
-// endpoint was unreachable AND no cache exists to answer from.
-func (p *RemoteProvider) refresh() bool {
+	_, err := p.do(&wire.MetaReq{Op: wire.MetaOpSnapshot})
 	p.cacheMu.Lock()
-	fresh := p.haveSnap && time.Since(p.lastSnap) < p.opts.PollEvery
-	p.cacheMu.Unlock()
-	if fresh {
-		return true
+	defer p.cacheMu.Unlock()
+	if err != nil && !p.lastSnap.IsZero() && time.Since(p.lastSnap) < maxStaleness {
+		err = nil // degraded: the stale snapshot still routes
 	}
-	if _, err := p.do(&wire.MetaReq{Op: wire.MetaOpSnapshot}); err != nil {
-		// Degraded: serve the cache, but only within the staleness bound —
-		// past it, routing on the dead snapshot is worse than failing.
-		p.cacheMu.Lock()
-		ok := p.haveSnap &&
-			(p.opts.MaxStaleness < 0 || time.Since(p.lastSnap) < p.opts.MaxStaleness)
-		p.cacheMu.Unlock()
-		return ok
-	}
-	return true
+	return p.snap, err
 }
 
 // metaErrs pairs every metadata sentinel with its wire error class. The
@@ -320,116 +246,64 @@ func metaError(resp *wire.MetaResp) error {
 	return errors.New(resp.Err)
 }
 
-// --- metadata.Provider implementation -------------------------------------
+// --- metadata.Provider mutations -------------------------------------------
 
 // SetServerAddr records a server's transport address in the shared store.
-// The Provider signature has no error return (the in-process store cannot
-// fail); callers that must know the address landed verify with ServerAddr
-// afterwards (shadowfax.NewServer does).
-func (p *RemoteProvider) SetServerAddr(id, addr string) {
-	p.do(&wire.MetaReq{Op: wire.MetaOpSetAddr, ServerID: id, Addr: addr}) //nolint:errcheck // see above
+func (p *RemoteProvider) SetServerAddr(id, addr string) error {
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpSetAddr, ServerID: id, Addr: addr})
+	return err
 }
 
-// ServerAddr returns a server's transport address.
-func (p *RemoteProvider) ServerAddr(id string) (string, error) {
-	if !p.refresh() {
-		return "", ErrMetaUnavailable
+// viewCall is call for the mutations that answer with id's resulting view.
+func (p *RemoteProvider) viewCall(req *wire.MetaReq, id string) (metadata.View, error) {
+	resp, err := p.call(req)
+	if err != nil {
+		return metadata.View{}, err
 	}
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	s, ok := p.servers[id]
-	if !ok || s.addr == "" {
-		return "", fmt.Errorf("%w: no address for %q", metadata.ErrUnknownServer, id)
-	}
-	return s.addr, nil
+	return resp.Snapshot.GetView(id)
 }
 
 // RegisterServer creates (or resets) a server's view in the shared store.
-func (p *RemoteProvider) RegisterServer(id string, ranges ...metadata.HashRange) metadata.View {
-	resp, err := p.do(&wire.MetaReq{
-		Op: wire.MetaOpRegister, ServerID: id, Ranges: rangesToWire(ranges),
-	})
-	if err != nil {
-		return metadata.View{}
-	}
-	return viewOf(&resp, id)
+func (p *RemoteProvider) RegisterServer(id string, ranges ...metadata.HashRange) (metadata.View, error) {
+	return p.viewCall(&wire.MetaReq{Op: wire.MetaOpRegister, ServerID: id, Ranges: ranges}, id)
 }
 
 // RestoreServer reinstates a recovered server's checkpointed view (refused
 // with ErrDeposed when a promoted or promotable replica superseded it).
 func (p *RemoteProvider) RestoreServer(id string, v metadata.View) (metadata.View, error) {
-	resp, err := p.do(&wire.MetaReq{
-		Op: wire.MetaOpRestore, ServerID: id,
-		ViewNumber: v.Number, Ranges: rangesToWire(v.Ranges),
-	})
-	if err != nil {
-		return metadata.View{}, err
-	}
-	if err := metaError(&resp); err != nil {
-		return metadata.View{}, err
-	}
-	return viewOf(&resp, id), nil
+	return p.viewCall(&wire.MetaReq{
+		Op: wire.MetaOpRestore, ServerID: id, ViewNumber: v.Number, Ranges: v.Ranges,
+	}, id)
 }
 
 // RetireServer removes an empty server from the shared store (scale-in).
 func (p *RemoteProvider) RetireServer(id string) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpRetire, ServerID: id})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpRetire, ServerID: id})
+	return err
 }
 
 // SetReplica attaches addr as id's backup in the shared store.
 func (p *RemoteProvider) SetReplica(id, addr string) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpSetReplica, ServerID: id, Addr: addr})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpSetReplica, ServerID: id, Addr: addr})
+	return err
 }
 
 // MarkReplicaSynced records that id's backup at addr finished its base sync.
 func (p *RemoteProvider) MarkReplicaSynced(id, addr string) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpReplicaSynced, ServerID: id, Addr: addr})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpReplicaSynced, ServerID: id, Addr: addr})
+	return err
 }
 
 // ClearReplica detaches id's backup at addr.
 func (p *RemoteProvider) ClearReplica(id, addr string) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpClearReplica, ServerID: id, Addr: addr})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpClearReplica, ServerID: id, Addr: addr})
+	return err
 }
 
 // PromoteReplica promotes id's synced backup at addr (failover's
 // linearization point) and returns the view the promoted server adopts.
 func (p *RemoteProvider) PromoteReplica(id, addr string) (metadata.View, error) {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpPromote, ServerID: id, Addr: addr})
-	if err != nil {
-		return metadata.View{}, err
-	}
-	if err := metaError(&resp); err != nil {
-		return metadata.View{}, err
-	}
-	return viewOf(&resp, id), nil
-}
-
-// Replicas returns every attached backup keyed by primary id.
-func (p *RemoteProvider) Replicas() map[string]metadata.ReplicaState {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	out := make(map[string]metadata.ReplicaState, len(p.replicas))
-	for id, r := range p.replicas {
-		out[id] = r
-	}
-	return out
+	return p.viewCall(&wire.MetaReq{Op: wire.MetaOpPromote, ServerID: id, Addr: addr}, id)
 }
 
 // KeepAlive renews (or, with ttl <= 0, releases) id's primary liveness
@@ -442,243 +316,43 @@ func (p *RemoteProvider) KeepAlive(id, addr string, ttl time.Duration) error {
 	if ms < 0 {
 		ms = 0
 	}
-	resp, err := p.do(&wire.MetaReq{
+	_, err := p.call(&wire.MetaReq{
 		Op: wire.MetaOpKeepAlive, ServerID: id, Addr: addr, MigrationID: uint64(ms),
 	})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
-}
-
-// PromotedServers returns the ids whose replica was promoted and whose
-// deposed former primary has not restarted.
-func (p *RemoteProvider) PromotedServers() []string {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return append([]string(nil), p.promoted...)
-}
-
-// GetView returns a server's current view.
-func (p *RemoteProvider) GetView(id string) (metadata.View, error) {
-	if !p.refresh() {
-		return metadata.View{}, ErrMetaUnavailable
-	}
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	s, ok := p.servers[id]
-	if !ok {
-		return metadata.View{}, fmt.Errorf("%w: %q", metadata.ErrUnknownServer, id)
-	}
-	return s.view.Clone(), nil
-}
-
-// Servers returns the ids of all registered servers, sorted.
-func (p *RemoteProvider) Servers() []string {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	out := make([]string, 0, len(p.servers))
-	for id := range p.servers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OwnerOf returns the server owning hash h and its view.
-func (p *RemoteProvider) OwnerOf(h uint64) (string, metadata.View, error) {
-	if !p.refresh() {
-		return "", metadata.View{}, ErrMetaUnavailable
-	}
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	for id, s := range p.servers {
-		if s.view.Owns(h) {
-			return id, s.view.Clone(), nil
-		}
-	}
-	return "", metadata.View{}, fmt.Errorf("%w: no owner for %#x", metadata.ErrUnknownServer, h)
-}
-
-// Ownership returns every server's view.
-func (p *RemoteProvider) Ownership() map[string]metadata.View {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	out := make(map[string]metadata.View, len(p.servers))
-	for id, s := range p.servers {
-		out[id] = s.view.Clone()
-	}
-	return out
+	return err
 }
 
 // StartMigration performs the atomic remap/bump/register transition at the
 // metadata endpoint.
 func (p *RemoteProvider) StartMigration(source, target string, rng metadata.HashRange) (metadata.MigrationState, metadata.View, metadata.View, error) {
-	resp, err := p.do(&wire.MetaReq{
+	resp, err := p.call(&wire.MetaReq{
 		Op: wire.MetaOpStartMigration, ServerID: source, Target: target,
 		RangeStart: rng.Start, RangeEnd: rng.End,
 	})
 	if err != nil {
 		return metadata.MigrationState{}, metadata.View{}, metadata.View{}, err
 	}
-	if err := metaError(&resp); err != nil {
-		return metadata.MigrationState{}, metadata.View{}, metadata.View{}, err
-	}
-	return migrationFromWire(&resp.Migration), viewOf(&resp, source), viewOf(&resp, target), nil
+	sv, _ := resp.Snapshot.GetView(source)
+	tv, _ := resp.Snapshot.GetView(target)
+	return resp.Migration, sv, tv, nil
 }
 
 // MarkMigrationDone sets one side's completion flag.
 func (p *RemoteProvider) MarkMigrationDone(id uint64, server string) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpMarkDone, MigrationID: id, ServerID: server})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpMarkDone, MigrationID: id, ServerID: server})
+	return err
 }
 
 // CancelMigration cancels an in-flight migration (§3.3.1).
 func (p *RemoteProvider) CancelMigration(id uint64) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpCancel, MigrationID: id})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
-}
-
-// GetMigration returns a migration's state from the live snapshot.
-func (p *RemoteProvider) GetMigration(id uint64) (metadata.MigrationState, error) {
-	if !p.refresh() {
-		return metadata.MigrationState{}, ErrMetaUnavailable
-	}
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	for _, m := range p.migrations {
-		if m.ID == id {
-			return m, nil
-		}
-	}
-	return metadata.MigrationState{}, metadata.ErrUnknownMigration
-}
-
-// PendingMigrationsFor returns migrations involving server whose dependency
-// has not been collected.
-func (p *RemoteProvider) PendingMigrationsFor(server string) []metadata.MigrationState {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	var out []metadata.MigrationState
-	for _, m := range p.migrations {
-		if (m.Source == server || m.Target == server) && !m.Complete() && !m.Cancelled {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Migrations returns every uncollected migration.
-func (p *RemoteProvider) Migrations() []metadata.MigrationState {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return append([]metadata.MigrationState(nil), p.migrations...)
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpCancel, MigrationID: id})
+	return err
 }
 
 // CollectMigration removes a completed (or cancelled) dependency.
 func (p *RemoteProvider) CollectMigration(id uint64) error {
-	resp, err := p.do(&wire.MetaReq{Op: wire.MetaOpCollect, MigrationID: id})
-	if err != nil {
-		return err
-	}
-	return metaError(&resp)
-}
-
-// Revision returns the last observed snapshot revision.
-func (p *RemoteProvider) Revision() uint64 {
-	p.refresh()
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return p.revision
-}
-
-// Watch returns a channel that receives a token when the endpoint's state
-// is observed to have changed. Remote watches are poll-based: the first
-// call starts a background loop snapshotting every PollEvery.
-func (p *RemoteProvider) Watch() <-chan struct{} {
-	ch := make(chan struct{}, 1)
-	p.cacheMu.Lock()
-	p.watchers = append(p.watchers, ch)
-	closed := p.closed
-	p.cacheMu.Unlock()
-	if closed {
-		return ch
-	}
-	p.pollOnce.Do(func() {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			t := time.NewTicker(p.opts.PollEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-p.quit:
-					return
-				case <-t.C:
-					p.refresh()
-				}
-			}
-		}()
-	})
-	return ch
-}
-
-// --- wire conversions ------------------------------------------------------
-
-func rangesToWire(in []metadata.HashRange) []wire.Range {
-	out := make([]wire.Range, len(in))
-	for i, r := range in {
-		out[i] = wire.Range{Start: r.Start, End: r.End}
-	}
-	return out
-}
-
-func rangesFromWire(in []wire.Range) []metadata.HashRange {
-	out := make([]metadata.HashRange, len(in))
-	for i, r := range in {
-		out[i] = metadata.HashRange{Start: r.Start, End: r.End}
-	}
-	return out
-}
-
-func migrationFromWire(m *wire.MetaMigration) metadata.MigrationState {
-	return metadata.MigrationState{
-		ID: m.ID, Epoch: m.Epoch, Source: m.Source, Target: m.Target,
-		Range:      metadata.HashRange{Start: m.RangeStart, End: m.RangeEnd},
-		SourceDone: m.SourceDone, TargetDone: m.TargetDone, Cancelled: m.Cancelled,
-	}
-}
-
-func migrationToWire(m metadata.MigrationState) wire.MetaMigration {
-	return wire.MetaMigration{
-		ID: m.ID, Epoch: m.Epoch, Source: m.Source, Target: m.Target,
-		RangeStart: m.Range.Start, RangeEnd: m.Range.End,
-		SourceDone: m.SourceDone, TargetDone: m.TargetDone, Cancelled: m.Cancelled,
-	}
-}
-
-// viewOf extracts one server's view from a response snapshot.
-func viewOf(resp *wire.MetaResp, id string) metadata.View {
-	for i := range resp.Servers {
-		if resp.Servers[i].ID == id {
-			return metadata.View{
-				Number: resp.Servers[i].ViewNumber,
-				Ranges: rangesFromWire(resp.Servers[i].Ranges),
-			}
-		}
-	}
-	return metadata.View{}
+	_, err := p.call(&wire.MetaReq{Op: wire.MetaOpCollect, MigrationID: id})
+	return err
 }
 
 var _ metadata.Provider = (*RemoteProvider)(nil)
@@ -696,23 +370,18 @@ func ServeMetaReq(p metadata.Provider, req *wire.MetaReq) wire.MetaResp {
 	case wire.MetaOpSnapshot:
 		// Pure read; the snapshot below is the whole answer.
 	case wire.MetaOpSetAddr:
-		p.SetServerAddr(req.ServerID, req.Addr)
+		fillMetaErr(&resp, p.SetServerAddr(req.ServerID, req.Addr))
 	case wire.MetaOpRegister:
-		p.RegisterServer(req.ServerID, rangesFromWire(req.Ranges)...)
+		_, err := p.RegisterServer(req.ServerID, req.Ranges...)
+		fillMetaErr(&resp, err)
 	case wire.MetaOpRestore:
-		_, err := p.RestoreServer(req.ServerID, metadata.View{
-			Number: req.ViewNumber, Ranges: rangesFromWire(req.Ranges),
-		})
+		_, err := p.RestoreServer(req.ServerID, metadata.View{Number: req.ViewNumber, Ranges: req.Ranges})
 		fillMetaErr(&resp, err)
 	case wire.MetaOpStartMigration:
 		mig, _, _, err := p.StartMigration(req.ServerID, req.Target,
 			metadata.HashRange{Start: req.RangeStart, End: req.RangeEnd})
-		if err != nil {
-			fillMetaErr(&resp, err)
-		} else {
-			resp.MigValid = true
-			resp.Migration = migrationToWire(mig)
-		}
+		fillMetaErr(&resp, err)
+		resp.MigValid, resp.Migration = err == nil, mig
 	case wire.MetaOpMarkDone:
 		fillMetaErr(&resp, p.MarkMigrationDone(req.MigrationID, req.ServerID))
 	case wire.MetaOpCancel:
@@ -739,42 +408,10 @@ func ServeMetaReq(p metadata.Provider, req *wire.MetaReq) wire.MetaResp {
 		resp.ErrCode = wire.MetaErrOther
 		resp.Err = fmt.Sprintf("unknown meta op %d", req.Op)
 	}
-
-	// Revision is read before the content, and all views come from ONE
-	// Ownership() call (atomic under the store lock): a snapshot must never
-	// show a hash range owner-less or doubly-owned mid-StartMigration. A
-	// concurrent mutation can only make the content newer than Revision,
-	// which the poller resolves on its next refresh.
-	resp.Revision = p.Revision()
-	views := p.Ownership()
-	ids := make([]string, 0, len(views))
-	for id := range views {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		v := views[id]
-		addr, _ := p.ServerAddr(id) // a server may not have an address yet
-		resp.Servers = append(resp.Servers, wire.MetaServer{
-			ID: id, Addr: addr, ViewNumber: v.Number, Ranges: rangesToWire(v.Ranges),
-		})
-	}
-	for _, m := range p.Migrations() {
-		resp.Migrations = append(resp.Migrations, migrationToWire(m))
-	}
-	reps := p.Replicas()
-	repIDs := make([]string, 0, len(reps))
-	for id := range reps {
-		repIDs = append(repIDs, id)
-	}
-	sort.Strings(repIDs)
-	for _, id := range repIDs {
-		r := reps[id]
-		resp.Replicas = append(resp.Replicas, wire.MetaReplica{
-			PrimaryID: r.PrimaryID, Addr: r.Addr, Synced: r.Synced,
-		})
-	}
-	resp.Promoted = p.PromotedServers()
+	// Taken after the mutation, so the response shows its effect. A proxying
+	// server that lost its own endpoint relays the snapshot it still has.
+	snap, _ := p.Snapshot()
+	resp.Snapshot = *snap
 	return resp
 }
 

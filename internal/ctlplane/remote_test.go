@@ -35,6 +35,16 @@ func startEndpoint(t *testing.T, store *metadata.Store, tr transport.Transport) 
 	return srv
 }
 
+// snapOf is p's current snapshot; the test fails if p cannot produce one.
+func snapOf(t *testing.T, p metadata.Provider) *metadata.Snapshot {
+	t.Helper()
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	return snap
+}
+
 // TestRemoteProviderRoundTrip exercises every Provider method over the wire
 // against a live metadata endpoint and checks the mutations land in the
 // backing store (and vice versa: store-side changes become visible through
@@ -44,31 +54,33 @@ func TestRemoteProviderRoundTrip(t *testing.T) {
 	tr := transport.NewInMem(transport.Free)
 	startEndpoint(t, store, tr)
 
-	rp := ctlplane.NewRemoteProvider(tr, "ep", ctlplane.RemoteOptions{PollEvery: 5 * time.Millisecond})
+	rp := ctlplane.NewRemoteProvider(tr, "ep")
 	defer rp.Close()
 
 	// Registration + addressing through the provider.
-	v := rp.RegisterServer("joiner")
-	if v.Number != 1 || len(v.Ranges) != 0 {
-		t.Fatalf("joiner view = %+v, want empty view #1", v)
+	v, err := rp.RegisterServer("joiner")
+	if err != nil || v.Number != 1 || len(v.Ranges) != 0 {
+		t.Fatalf("joiner view = %+v, %v, want empty view #1", v, err)
 	}
-	rp.SetServerAddr("joiner", "joiner-addr")
-	if addr, err := rp.ServerAddr("joiner"); err != nil || addr != "joiner-addr" {
+	if err := rp.SetServerAddr("joiner", "joiner-addr"); err != nil {
+		t.Fatal(err)
+	}
+	if addr, err := snapOf(t, rp).ServerAddr("joiner"); err != nil || addr != "joiner-addr" {
 		t.Fatalf("ServerAddr = %q, %v", addr, err)
 	}
-	if got, err := store.ServerAddr("joiner"); err != nil || got != "joiner-addr" {
+	if got, err := snapOf(t, store).ServerAddr("joiner"); err != nil || got != "joiner-addr" {
 		t.Fatalf("mutation did not land in the backing store: %q, %v", got, err)
 	}
-	ids := rp.Servers()
+	ids := snapOf(t, rp).ServerIDs()
 	if len(ids) != 2 || ids[0] != "ep" || ids[1] != "joiner" {
-		t.Fatalf("Servers() = %v", ids)
+		t.Fatalf("ServerIDs() = %v", ids)
 	}
 
 	// Reads see live store state.
-	if owner, _, err := rp.OwnerOf(42); err != nil || owner != "ep" {
-		t.Fatalf("OwnerOf = %q, %v", owner, err)
+	if owner, ok := snapOf(t, rp).Owner(42); !ok || owner != "ep" {
+		t.Fatalf("Owner = %q, %v", owner, ok)
 	}
-	own := rp.Ownership()
+	own := snapOf(t, rp).Ownership()
 	if len(own) != 2 || !own["ep"].Owns(42) {
 		t.Fatalf("Ownership() = %+v", own)
 	}
@@ -87,10 +99,10 @@ func TestRemoteProviderRoundTrip(t *testing.T) {
 	if sv.Number != 2 || tv.Number != 2 {
 		t.Fatalf("post-migration views #%d/#%d, want #2/#2", sv.Number, tv.Number)
 	}
-	if got := rp.PendingMigrationsFor("joiner"); len(got) != 1 || got[0].ID != mig.ID {
+	if got := snapOf(t, rp).PendingMigrationsFor("joiner"); len(got) != 1 || got[0].ID != mig.ID {
 		t.Fatalf("PendingMigrationsFor = %+v", got)
 	}
-	if m, err := rp.GetMigration(mig.ID); err != nil || m.Range != rng {
+	if m, err := snapOf(t, rp).GetMigration(mig.ID); err != nil || m.Range != rng {
 		t.Fatalf("GetMigration = %+v, %v", m, err)
 	}
 	if err := rp.MarkMigrationDone(mig.ID, "ep"); err != nil {
@@ -105,20 +117,23 @@ func TestRemoteProviderRoundTrip(t *testing.T) {
 	if err := rp.CollectMigration(mig.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := rp.Migrations(); len(got) != 0 {
-		t.Fatalf("Migrations() after collect = %+v", got)
+	if got := snapOf(t, rp).Migrations; len(got) != 0 {
+		t.Fatalf("Migrations after collect = %+v", got)
 	}
 
-	// Watch: a store-side change must produce a token via the poll loop.
-	ch := rp.Watch()
+	// A store-side change shows through the provider once its cached
+	// snapshot is no longer fresh.
 	store.SetServerAddr("joiner", "joiner-addr-2")
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watch never fired after a store mutation")
-	}
-	if addr, err := rp.ServerAddr("joiner"); err != nil || addr != "joiner-addr-2" {
-		t.Fatalf("provider did not observe the new addr: %q, %v", addr, err)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		addr, err := snapOf(t, rp).ServerAddr("joiner")
+		if err == nil && addr == "joiner-addr-2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("provider did not observe the new addr: %q, %v", addr, err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -126,13 +141,22 @@ func TestRemoteProviderRoundTrip(t *testing.T) {
 // cache — reads fail with ErrMetaUnavailable instead of hanging.
 func TestRemoteProviderEndpointDown(t *testing.T) {
 	tr := transport.NewInMem(transport.Free)
-	rp := ctlplane.NewRemoteProvider(tr, "nowhere", ctlplane.RemoteOptions{Timeout: 50 * time.Millisecond})
+	rp := ctlplane.NewRemoteProvider(tr, "nowhere")
 	defer rp.Close()
-	if _, err := rp.GetView("x"); !errors.Is(err, ctlplane.ErrMetaUnavailable) {
-		t.Fatalf("GetView with endpoint down: %v", err)
+	for i := 0; i < 2; i++ { // the second call meets the open circuit breaker
+		snap, err := rp.Snapshot()
+		if !errors.Is(err, ctlplane.ErrMetaUnavailable) {
+			t.Fatalf("Snapshot with endpoint down: %v", err)
+		}
+		if snap == nil || len(snap.Servers) != 0 {
+			t.Fatalf("Snapshot with endpoint down = %+v, want the empty snapshot", snap)
+		}
 	}
-	if _, err := rp.ServerAddr("x"); !errors.Is(err, ctlplane.ErrMetaUnavailable) {
-		t.Fatalf("ServerAddr with endpoint down: %v", err)
+	if err := rp.SetServerAddr("x", "x-addr"); !errors.Is(err, ctlplane.ErrMetaUnavailable) {
+		t.Fatalf("SetServerAddr with endpoint down: %v", err)
+	}
+	if _, err := rp.RegisterServer("x"); !errors.Is(err, ctlplane.ErrMetaUnavailable) {
+		t.Fatalf("RegisterServer with endpoint down: %v", err)
 	}
 }
 
@@ -146,7 +170,7 @@ func TestRemoteProviderOverlapRejection(t *testing.T) {
 	tr := transport.NewInMem(transport.Free)
 	startEndpoint(t, store, tr)
 
-	rp := ctlplane.NewRemoteProvider(tr, "ep", ctlplane.RemoteOptions{PollEvery: 5 * time.Millisecond})
+	rp := ctlplane.NewRemoteProvider(tr, "ep")
 	defer rp.Close()
 	rp.RegisterServer("t1")
 	rp.RegisterServer("t2")
@@ -175,7 +199,7 @@ func TestRemoteProviderOverlapRejection(t *testing.T) {
 
 	// The in-flight set (with epochs) is visible through the provider.
 	inflight := 0
-	for _, m := range rp.Migrations() {
+	for _, m := range snapOf(t, rp).Migrations {
 		if m.InFlight() {
 			inflight++
 			if m.Epoch == 0 {

@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/wire"
 )
 
 func TestSplitPointMedian(t *testing.T) {
 	st := wire.StatsResp{
-		Ranges: []wire.Range{{Start: 0, End: 1000}},
+		Ranges: []metadata.HashRange{{Start: 0, End: 1000}},
 	}
 	for i := uint64(0); i < 100; i++ {
 		st.HashSample = append(st.HashSample, i*10)
@@ -29,7 +30,7 @@ func TestSplitPointMedian(t *testing.T) {
 
 func TestSplitPointPicksHottestRange(t *testing.T) {
 	st := wire.StatsResp{
-		Ranges: []wire.Range{{Start: 0, End: 1000}, {Start: 5000, End: 6000}},
+		Ranges: []metadata.HashRange{{Start: 0, End: 1000}, {Start: 5000, End: 6000}},
 	}
 	// Load concentrated in the second range.
 	for i := uint64(0); i < 4; i++ {
@@ -50,7 +51,7 @@ func TestSplitPointPicksHottestRange(t *testing.T) {
 func TestSplitPointGuards(t *testing.T) {
 	// Too few samples.
 	st := wire.StatsResp{
-		Ranges:     []wire.Range{{Start: 0, End: 1000}},
+		Ranges:     []metadata.HashRange{{Start: 0, End: 1000}},
 		HashSample: []uint64{1, 2, 3},
 	}
 	if _, reason := splitPoint(st, 16); reason == "" {
@@ -61,7 +62,7 @@ func TestSplitPointGuards(t *testing.T) {
 		t.Fatal("expected an owns-no-ranges refusal")
 	}
 	// Degenerate distribution: every sample on the range's first hash.
-	st = wire.StatsResp{Ranges: []wire.Range{{Start: 100, End: 1000}}}
+	st = wire.StatsResp{Ranges: []metadata.HashRange{{Start: 100, End: 1000}}}
 	for i := 0; i < 32; i++ {
 		st.HashSample = append(st.HashSample, 100)
 	}
@@ -83,7 +84,7 @@ func TestSplitPointGuards(t *testing.T) {
 // planCand builds a planning candidate whose sampled load is spread evenly
 // over one owned range [start,end), so splitPoint lands near its middle.
 func planCand(id string, rate float64, busy bool, start, end uint64) moveCandidate {
-	st := wire.StatsResp{Ranges: []wire.Range{{Start: start, End: end}}}
+	st := wire.StatsResp{Ranges: []metadata.HashRange{{Start: start, End: end}}}
 	span := end - start
 	for i := uint64(0); i < 64; i++ {
 		st.HashSample = append(st.HashSample, start+i*span/64)
@@ -238,7 +239,7 @@ func TestPlanMovesSkipsUnsplittableSource(t *testing.T) {
 	// The hottest server has a degenerate sample distribution (one hash);
 	// the plan moves on to the next-hottest source with the same target.
 	degenerate := moveCandidate{ID: "spike", Rate: 50_000, Stats: wire.StatsResp{
-		Ranges: []wire.Range{{Start: 0, End: 1000}},
+		Ranges: []metadata.HashRange{{Start: 0, End: 1000}},
 	}}
 	for i := 0; i < 32; i++ {
 		degenerate.Stats.HashSample = append(degenerate.Stats.HashSample, 0)

@@ -3,7 +3,6 @@ package metadata
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -65,18 +64,4 @@ func (s *Store) leaseBlocksPromotionLocked(id, addr string) (lease, bool) {
 		return lease{}, false
 	}
 	return l, true
-}
-
-// PromotedServers returns the ids whose replica was promoted and whose
-// deposed former primary has not restarted, sorted. The balancer uses this
-// to find primaries left running without a standby (re-replication).
-func (s *Store) PromotedServers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.promoted))
-	for id := range s.promoted {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

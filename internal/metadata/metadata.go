@@ -10,6 +10,11 @@
 // in-process store guarded by a mutex provides all three with identical
 // semantics; ZooKeeper's replication is orthogonal to every experiment
 // (README.md § "Elasticity: shared metadata" describes the stand-in).
+//
+// Reads are one value: Store.Snapshot returns the whole state at one
+// revision (snapshot.go), built under one lock acquisition and shared,
+// immutable, by every reader until the next mutation. Servers, clients, the
+// balancer and the wire all route on that value; nothing else is readable.
 package metadata
 
 import (
@@ -115,7 +120,9 @@ type Store struct {
 	nextMigID uint64
 	nextEpoch uint64
 	revision  uint64
-	watchers  []chan struct{}
+	// snap caches the Snapshot of the current revision; changedLocked drops
+	// it, so an unchanged store answers every read with the same pointer.
+	snap *Snapshot
 }
 
 // NewStore returns an empty metadata store.
@@ -131,34 +138,25 @@ func NewStore() *Store {
 }
 
 // SetServerAddr records a server's transport address so peers and clients
-// can dial it.
-func (s *Store) SetServerAddr(id, addr string) {
+// can dial it. The in-process store cannot fail; the error is the Provider
+// signature's (a remote provider's RPC can).
+func (s *Store) SetServerAddr(id, addr string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.addrs[id] = addr
-	s.notifyLocked()
-}
-
-// ServerAddr returns a server's transport address.
-func (s *Store) ServerAddr(id string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.addrs[id]
-	if !ok {
-		return "", fmt.Errorf("%w: no address for %q", ErrUnknownServer, id)
-	}
-	return a, nil
+	s.changedLocked()
+	return nil
 }
 
 // RegisterServer creates (or resets) a server's view with the given ranges
-// at view number 1.
-func (s *Store) RegisterServer(id string, ranges ...HashRange) View {
+// at view number 1. The error is always nil here (see SetServerAddr).
+func (s *Store) RegisterServer(id string, ranges ...HashRange) (View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := &View{Number: 1, Ranges: mergeRanges(append([]HashRange(nil), ranges...))}
 	s.views[id] = v
-	s.notifyLocked()
-	return v.Clone()
+	s.changedLocked()
+	return v.Clone(), nil
 }
 
 // RestoreServer reinstates a recovered server's ownership view exactly as it
@@ -196,54 +194,8 @@ func (s *Store) RestoreServer(id string, v View) (View, error) {
 	nv := v.Clone()
 	nv.Ranges = mergeRanges(nv.Ranges)
 	s.views[id] = &nv
-	s.notifyLocked()
+	s.changedLocked()
 	return nv.Clone(), nil
-}
-
-// GetView returns a server's current view.
-func (s *Store) GetView(id string) (View, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.views[id]
-	if !ok {
-		return View{}, fmt.Errorf("%w: %q", ErrUnknownServer, id)
-	}
-	return v.Clone(), nil
-}
-
-// Servers returns the ids of all registered servers, sorted.
-func (s *Store) Servers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.views))
-	for id := range s.views {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OwnerOf returns the server owning hash h and its view.
-func (s *Store) OwnerOf(h uint64) (string, View, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, v := range s.views {
-		if v.Owns(h) {
-			return id, v.Clone(), nil
-		}
-	}
-	return "", View{}, fmt.Errorf("%w: no owner for %#x", ErrUnknownServer, h)
-}
-
-// Ownership returns every server's view (the client library's cached map).
-func (s *Store) Ownership() map[string]View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]View, len(s.views))
-	for id, v := range s.views {
-		out[id] = v.Clone()
-	}
-	return out
 }
 
 // StartMigration atomically (one linearization point, §3.3 Sampling step 1):
@@ -295,7 +247,7 @@ func (s *Store) StartMigration(source, target string, rng HashRange) (MigrationS
 		Epoch: s.nextEpoch}
 	s.nextMigID++
 	s.migrations[m.ID] = m
-	s.notifyLocked()
+	s.changedLocked()
 	return *m, sv.Clone(), tv.Clone(), nil
 }
 
@@ -316,7 +268,7 @@ func (s *Store) MarkMigrationDone(id uint64, server string) error {
 	default:
 		return fmt.Errorf("%w: %q not part of migration %d", ErrUnknownServer, server, id)
 	}
-	s.notifyLocked()
+	s.changedLocked()
 	return nil
 }
 
@@ -349,34 +301,8 @@ func (s *Store) CancelMigration(id uint64) error {
 		sv.Ranges = mergeRanges(append(sv.Ranges, m.Range))
 		sv.Number++
 	}
-	s.notifyLocked()
+	s.changedLocked()
 	return nil
-}
-
-// GetMigration returns a migration's state.
-func (s *Store) GetMigration(id uint64) (MigrationState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.migrations[id]
-	if !ok {
-		return MigrationState{}, ErrUnknownMigration
-	}
-	return *m, nil
-}
-
-// PendingMigrationsFor returns migrations involving server whose dependency
-// has not been collected (used by recovery, §3.3.1).
-func (s *Store) PendingMigrationsFor(server string) []MigrationState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []MigrationState
-	for _, m := range s.migrations {
-		if (m.Source == server || m.Target == server) && !m.Complete() && !m.Cancelled {
-			out = append(out, *m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // CollectMigration removes a completed (or cancelled) migration dependency.
@@ -391,51 +317,50 @@ func (s *Store) CollectMigration(id uint64) error {
 		return fmt.Errorf("metadata: migration %d still in flight", id)
 	}
 	delete(s.migrations, id)
-	s.notifyLocked()
+	s.changedLocked()
 	return nil
 }
 
-// Migrations returns every uncollected migration record (in-flight,
-// complete-but-uncollected, and cancelled), sorted by ID. Remote providers
-// mirror this list so migration state is observable across processes.
-func (s *Store) Migrations() []MigrationState {
+// Snapshot returns the cluster state at the current revision. It is built
+// under one acquisition of mu — so every field describes the same instant —
+// and cached until the next mutation: an unchanged store answers in O(1)
+// with the same pointer. The error is always nil for the in-process store.
+func (s *Store) Snapshot() (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]MigrationState, 0, len(s.migrations))
+	if s.snap != nil {
+		return s.snap, nil
+	}
+	servers := make([]ServerEntry, 0, len(s.views))
+	for id, v := range s.views {
+		// Cloned: mutations edit a view's Ranges in place.
+		servers = append(servers, ServerEntry{ID: id, Addr: s.addrs[id], View: v.Clone()})
+	}
+	sort.Slice(servers, func(i, j int) bool { return servers[i].ID < servers[j].ID })
+	migrations := make([]MigrationState, 0, len(s.migrations))
 	for _, m := range s.migrations {
-		out = append(out, *m)
+		migrations = append(migrations, *m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	sort.Slice(migrations, func(i, j int) bool { return migrations[i].ID < migrations[j].ID })
+	replicas := make([]ReplicaState, 0, len(s.replicas))
+	for _, r := range s.replicas {
+		replicas = append(replicas, *r)
+	}
+	sort.Slice(replicas, func(i, j int) bool { return replicas[i].PrimaryID < replicas[j].PrimaryID })
+	promoted := make([]string, 0, len(s.promoted))
+	for id := range s.promoted {
+		promoted = append(promoted, id)
+	}
+	sort.Strings(promoted)
+	s.snap = NewSnapshot(s.revision, servers, migrations, replicas, promoted)
+	return s.snap, nil
 }
 
-// Revision returns a counter that increases with every metadata change.
-// Pollers (the remote provider's watch loop) compare revisions to detect
-// staleness without diffing whole snapshots.
-func (s *Store) Revision() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.revision
-}
-
-// Watch returns a channel that receives a token after every metadata
-// change; servers and clients use it to refresh cached views lazily.
-func (s *Store) Watch() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan struct{}, 1)
-	s.watchers = append(s.watchers, ch)
-	return ch
-}
-
-func (s *Store) notifyLocked() {
+// changedLocked records a mutation: the revision advances and the cached
+// snapshot, now out of date, is dropped.
+func (s *Store) changedLocked() {
 	s.revision++
-	for _, ch := range s.watchers {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+	s.snap = nil
 }
 
 // carve removes rng from ranges; ok is false when rng is not fully covered

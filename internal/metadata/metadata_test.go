@@ -7,17 +7,23 @@ import (
 	"testing/quick"
 )
 
+// snap is the store's current snapshot (the in-process store never errs).
+func snap(s *Store) *Snapshot {
+	sn, _ := s.Snapshot()
+	return sn
+}
+
 func TestRegisterAndGetView(t *testing.T) {
 	s := NewStore()
-	v := s.RegisterServer("a", FullRange)
-	if v.Number != 1 || len(v.Ranges) != 1 {
-		t.Fatalf("view %+v", v)
+	v, err := s.RegisterServer("a", FullRange)
+	if err != nil || v.Number != 1 || len(v.Ranges) != 1 {
+		t.Fatalf("view %+v, %v", v, err)
 	}
-	got, err := s.GetView("a")
+	got, err := snap(s).GetView("a")
 	if err != nil || got.Number != 1 {
 		t.Fatalf("get: %v %+v", err, got)
 	}
-	if _, err := s.GetView("missing"); !errors.Is(err, ErrUnknownServer) {
+	if _, err := snap(s).GetView("missing"); !errors.Is(err, ErrUnknownServer) {
 		t.Fatalf("want ErrUnknownServer, got %v", err)
 	}
 }
@@ -27,13 +33,13 @@ func TestOwnerOf(t *testing.T) {
 	mid := uint64(1) << 63
 	s.RegisterServer("a", HashRange{0, mid})
 	s.RegisterServer("b", HashRange{mid, ^uint64(0)})
-	id, v, err := s.OwnerOf(42)
-	if err != nil || id != "a" || !v.Owns(42) {
-		t.Fatalf("owner of 42: %q %v", id, err)
+	id, ok := snap(s).Owner(42)
+	if v, _ := snap(s).GetView(id); !ok || id != "a" || !v.Owns(42) {
+		t.Fatalf("owner of 42: %q %v", id, ok)
 	}
-	id, _, err = s.OwnerOf(mid + 5)
-	if err != nil || id != "b" {
-		t.Fatalf("owner of high: %q %v", id, err)
+	id, ok = snap(s).Owner(mid + 5)
+	if !ok || id != "b" {
+		t.Fatalf("owner of high: %q %v", id, ok)
 	}
 }
 
@@ -90,29 +96,29 @@ func TestMigrationCompletionFlags(t *testing.T) {
 	if err := s.MarkMigrationDone(m.ID, "src"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.GetMigration(m.ID)
+	got, _ := snap(s).GetMigration(m.ID)
 	if !got.SourceDone || got.TargetDone || got.Complete() {
 		t.Fatalf("state %+v", got)
 	}
 	// Still pending for the target.
-	if p := s.PendingMigrationsFor("dst"); len(p) != 1 {
+	if p := snap(s).PendingMigrationsFor("dst"); len(p) != 1 {
 		t.Fatalf("pending for dst: %d", len(p))
 	}
 	if err := s.MarkMigrationDone(m.ID, "dst"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = s.GetMigration(m.ID)
+	got, _ = snap(s).GetMigration(m.ID)
 	if !got.Complete() {
 		t.Fatal("not complete after both flags")
 	}
-	if p := s.PendingMigrationsFor("src"); len(p) != 0 {
+	if p := snap(s).PendingMigrationsFor("src"); len(p) != 0 {
 		t.Fatal("complete migration still pending")
 	}
 	// Dependency garbage collection.
 	if err := s.CollectMigration(m.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetMigration(m.ID); !errors.Is(err, ErrUnknownMigration) {
+	if _, err := snap(s).GetMigration(m.ID); !errors.Is(err, ErrUnknownMigration) {
 		t.Fatal("collected migration still present")
 	}
 }
@@ -127,8 +133,8 @@ func TestCancelMigrationRollsBackOwnership(t *testing.T) {
 	if err := s.CancelMigration(m.ID); err != nil {
 		t.Fatal(err)
 	}
-	sv, _ := s.GetView("src")
-	tv, _ := s.GetView("dst")
+	sv, _ := snap(s).GetView("src")
+	tv, _ := snap(s).GetView("dst")
 	if !sv.Owns(1500) {
 		t.Fatal("cancellation did not return the range to the source")
 	}
@@ -160,7 +166,7 @@ func TestCarveMiddleAndEdges(t *testing.T) {
 	if _, _, _, err := s.StartMigration("a", "b", HashRange{40, 60}); err != nil {
 		t.Fatal(err)
 	}
-	av, _ := s.GetView("a")
+	av, _ := snap(s).GetView("a")
 	if !av.Owns(39) || !av.Owns(60) || av.Owns(50) {
 		t.Fatalf("bad carve: %+v", av.Ranges)
 	}
@@ -168,11 +174,11 @@ func TestCarveMiddleAndEdges(t *testing.T) {
 	if _, _, _, err := s.StartMigration("a", "b", HashRange{0, 10}); err != nil {
 		t.Fatal(err)
 	}
-	av, _ = s.GetView("a")
+	av, _ = snap(s).GetView("a")
 	if av.Owns(5) || !av.Owns(15) {
 		t.Fatal("prefix carve wrong")
 	}
-	bv, _ := s.GetView("b")
+	bv, _ := snap(s).GetView("b")
 	if !bv.Owns(5) || !bv.Owns(50) {
 		t.Fatal("target missing carved ranges")
 	}
@@ -184,27 +190,9 @@ func TestMergeRangesCoalesces(t *testing.T) {
 	s.RegisterServer("b")
 	s.StartMigration("a", "b", HashRange{0, 10})
 	s.StartMigration("a", "b", HashRange{10, 20})
-	bv, _ := s.GetView("b")
+	bv, _ := snap(s).GetView("b")
 	if len(bv.Ranges) != 1 || bv.Ranges[0] != (HashRange{0, 20}) {
 		t.Fatalf("adjacent ranges not merged: %+v", bv.Ranges)
-	}
-}
-
-func TestWatchNotifies(t *testing.T) {
-	s := NewStore()
-	ch := s.Watch()
-	s.RegisterServer("a", FullRange)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("no notification after register")
-	}
-	s.RegisterServer("b")
-	s.StartMigration("a", "b", HashRange{0, 5})
-	select {
-	case <-ch:
-	default:
-		t.Fatal("no notification after migration")
 	}
 }
 
@@ -237,15 +225,15 @@ func TestConcurrentMetadataOps(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				rng := HashRange{uint64(w*1000 + i*10), uint64(w*1000 + i*10 + 5)}
 				s.StartMigration("a", "b", rng)
-				s.OwnerOf(uint64(w*1000 + i*10))
-				s.Ownership()
+				snap(s).Owner(uint64(w*1000 + i*10))
+				snap(s).Ownership()
 			}
 		}(w)
 	}
 	wg.Wait()
 	// Invariant: no hash owned twice.
-	av, _ := s.GetView("a")
-	bv, _ := s.GetView("b")
+	av, _ := snap(s).GetView("a")
+	bv, _ := snap(s).GetView("b")
 	for _, r := range bv.Ranges {
 		if av.Owns(r.Start) {
 			t.Fatalf("hash %#x owned by both servers", r.Start)
@@ -274,7 +262,7 @@ func TestConcurrentDisjointMigrationsAllowed(t *testing.T) {
 		t.Fatalf("epochs not strictly increasing: %d then %d", m1.Epoch, m2.Epoch)
 	}
 	inflight := 0
-	for _, m := range s.Migrations() {
+	for _, m := range snap(s).Migrations {
 		if m.InFlight() {
 			inflight++
 		}

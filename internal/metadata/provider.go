@@ -3,28 +3,21 @@ package metadata
 import "time"
 
 // Provider is the metadata-access surface servers, clients and the CLI
-// program against. The in-process *Store is the canonical implementation
-// (and the state of record: exactly one Store backs a deployment); the
-// remote provider in internal/ctlplane implements the same interface over
-// MsgMeta* RPCs against a designated metadata endpoint, so out-of-process
-// participants observe the same live ownership views.
+// program against: the mutations, each one linearizable step, and one read —
+// Snapshot. The in-process *Store is the canonical implementation (and the
+// state of record: exactly one Store backs a deployment); the remote
+// provider in internal/ctlplane implements the same interface over MsgMeta*
+// RPCs against a designated metadata endpoint, forwarding every mutation to
+// the single backing Store, which is where linearization happens.
 //
-// Semantics are those documented on Store: linearizable updates, atomic
-// multi-key transitions (StartMigration), client-visible reads. Remote
-// implementations forward every mutation to the single backing Store, which
-// is where linearization happens.
+// Readers take one Snapshot per decision and answer every question of that
+// decision from it, so the answers describe one instant. The value is shared
+// and immutable (see Snapshot): read it, never write through it.
 type Provider interface {
-	// Addressing.
-	SetServerAddr(id, addr string)
-	ServerAddr(id string) (string, error)
-
-	// Ownership views.
-	RegisterServer(id string, ranges ...HashRange) View
+	// Addressing and ownership views.
+	SetServerAddr(id, addr string) error
+	RegisterServer(id string, ranges ...HashRange) (View, error)
 	RestoreServer(id string, v View) (View, error)
-	GetView(id string) (View, error)
-	Servers() []string
-	OwnerOf(h uint64) (string, View, error)
-	Ownership() map[string]View
 	RetireServer(id string) error
 
 	// Primary→backup replication (replica.go) and the primary liveness
@@ -33,24 +26,19 @@ type Provider interface {
 	MarkReplicaSynced(primaryID, addr string) error
 	ClearReplica(primaryID, addr string) error
 	PromoteReplica(primaryID, addr string) (View, error)
-	Replicas() map[string]ReplicaState
 	KeepAlive(id, addr string, ttl time.Duration) error
-	PromotedServers() []string
 
 	// Migration dependencies (§3.3.1).
 	StartMigration(source, target string, rng HashRange) (MigrationState, View, View, error)
 	MarkMigrationDone(id uint64, server string) error
 	CancelMigration(id uint64) error
-	GetMigration(id uint64) (MigrationState, error)
-	PendingMigrationsFor(server string) []MigrationState
-	Migrations() []MigrationState
 	CollectMigration(id uint64) error
 
-	// Change observation. Revision is a counter bumped by every mutation
-	// (remote implementations poll it to detect staleness); Watch returns a
-	// channel that receives a token after every observed change.
-	Revision() uint64
-	Watch() <-chan struct{}
+	// Snapshot returns the current cluster state; it is never nil. A
+	// provider that cannot reach the state of record returns the last
+	// snapshot it saw (empty if none) together with the error, so a reader
+	// that prefers stale routing to none can ignore the error.
+	Snapshot() (*Snapshot, error)
 }
 
 var _ Provider = (*Store)(nil)

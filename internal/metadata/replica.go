@@ -60,7 +60,7 @@ func (s *Store) SetReplica(primaryID, addr string) error {
 			primaryID, r.Addr)
 	}
 	s.replicas[primaryID] = &ReplicaState{PrimaryID: primaryID, Addr: addr}
-	s.notifyLocked()
+	s.changedLocked()
 	return nil
 }
 
@@ -74,7 +74,7 @@ func (s *Store) MarkReplicaSynced(primaryID, addr string) error {
 		return fmt.Errorf("%w: %q at %s", ErrNoReplica, primaryID, addr)
 	}
 	r.Synced = true
-	s.notifyLocked()
+	s.changedLocked()
 	return nil
 }
 
@@ -86,31 +86,9 @@ func (s *Store) ClearReplica(primaryID, addr string) error {
 	defer s.mu.Unlock()
 	if r, ok := s.replicas[primaryID]; ok && r.Addr == addr {
 		delete(s.replicas, primaryID)
-		s.notifyLocked()
+		s.changedLocked()
 	}
 	return nil
-}
-
-// Replica returns primaryID's attached backup, if any.
-func (s *Store) Replica(primaryID string) (ReplicaState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.replicas[primaryID]
-	if !ok {
-		return ReplicaState{}, false
-	}
-	return *r, true
-}
-
-// Replicas returns every attached backup keyed by primary id.
-func (s *Store) Replicas() map[string]ReplicaState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]ReplicaState, len(s.replicas))
-	for id, r := range s.replicas {
-		out[id] = *r
-	}
-	return out
 }
 
 // PromoteReplica is failover's linearization point: the synced backup at
@@ -142,7 +120,7 @@ func (s *Store) PromoteReplica(primaryID, addr string) (View, error) {
 	s.promoted[primaryID] = v.Number
 	delete(s.replicas, primaryID)
 	delete(s.leases, primaryID) // the old holder is deposed; its lease is void
-	s.notifyLocked()
+	s.changedLocked()
 	return v.Clone(), nil
 }
 
@@ -172,6 +150,6 @@ func (s *Store) RetireServer(id string) error {
 	delete(s.views, id)
 	delete(s.addrs, id)
 	delete(s.leases, id)
-	s.notifyLocked()
+	s.changedLocked()
 	return nil
 }

@@ -19,7 +19,7 @@ func TestReplicaAttachLifecycle(t *testing.T) {
 	if err := s.SetReplica("p", "b1"); err != nil {
 		t.Fatal(err)
 	}
-	r, ok := s.Replica("p")
+	r, ok := snap(s).Replica("p")
 	if !ok || r.Addr != "b1" || r.Synced {
 		t.Fatalf("fresh replica = %+v %v", r, ok)
 	}
@@ -31,7 +31,7 @@ func TestReplicaAttachLifecycle(t *testing.T) {
 	if err := s.MarkReplicaSynced("p", "b1"); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := s.Replica("p"); !r.Synced {
+	if r, _ := snap(s).Replica("p"); !r.Synced {
 		t.Fatal("replica not marked synced")
 	}
 
@@ -43,7 +43,7 @@ func TestReplicaAttachLifecycle(t *testing.T) {
 	if err := s.SetReplica("p", "b1"); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := s.Replica("p"); r.Synced {
+	if r, _ := snap(s).Replica("p"); r.Synced {
 		t.Fatal("re-attach kept stale Synced flag")
 	}
 
@@ -52,13 +52,13 @@ func TestReplicaAttachLifecycle(t *testing.T) {
 	if err := s.ClearReplica("p", "b2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Replica("p"); !ok {
+	if _, ok := snap(s).Replica("p"); !ok {
 		t.Fatal("clear with wrong addr removed the replica")
 	}
 	if err := s.ClearReplica("p", "b1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Replica("p"); ok {
+	if _, ok := snap(s).Replica("p"); ok {
 		t.Fatal("replica survived clear")
 	}
 	if err := s.ClearReplica("p", "b1"); err != nil {
@@ -73,7 +73,7 @@ func TestPromoteReplica(t *testing.T) {
 	s := NewStore()
 	s.RegisterServer("p", FullRange)
 	s.SetServerAddr("p", "p-addr")
-	stale, _ := s.GetView("p") // what the primary would have checkpointed
+	stale, _ := snap(s).GetView("p") // what the primary would have checkpointed
 
 	if _, err := s.PromoteReplica("p", "b1"); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("promote with no replica: got %v", err)
@@ -94,10 +94,10 @@ func TestPromoteReplica(t *testing.T) {
 	if v.Number != stale.Number+1 {
 		t.Fatalf("promoted view = %d, want %d", v.Number, stale.Number+1)
 	}
-	if addr, err := s.ServerAddr("p"); err != nil || addr != "b1" {
+	if addr, err := snap(s).ServerAddr("p"); err != nil || addr != "b1" {
 		t.Fatalf("address after promotion = %q %v, want b1", addr, err)
 	}
-	if _, ok := s.Replica("p"); ok {
+	if _, ok := snap(s).Replica("p"); ok {
 		t.Fatal("replica entry survived promotion")
 	}
 
@@ -120,7 +120,7 @@ func TestPromoteReplica(t *testing.T) {
 func TestRestoreDropsUnsyncedReplica(t *testing.T) {
 	s := NewStore()
 	s.RegisterServer("p", FullRange)
-	v, _ := s.GetView("p")
+	v, _ := snap(s).GetView("p")
 
 	if err := s.SetReplica("p", "b1"); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRestoreDropsUnsyncedReplica(t *testing.T) {
 	if _, err := s.RestoreServer("p", v); err != nil {
 		t.Fatalf("restore over unsynced replica: %v", err)
 	}
-	if _, ok := s.Replica("p"); ok {
+	if _, ok := snap(s).Replica("p"); ok {
 		t.Fatal("unsynced replica survived primary restart")
 	}
 
@@ -206,17 +206,17 @@ func TestRetireServer(t *testing.T) {
 	if err := s.RetireServer("b"); err != nil {
 		t.Fatalf("retire empty server: %v", err)
 	}
-	if _, err := s.GetView("b"); !errors.Is(err, ErrUnknownServer) {
+	if _, err := snap(s).GetView("b"); !errors.Is(err, ErrUnknownServer) {
 		t.Fatalf("retired server still has a view: %v", err)
 	}
-	if _, err := s.ServerAddr("b"); err == nil {
+	if _, err := snap(s).ServerAddr("b"); err == nil {
 		t.Fatal("retired server still has an address")
 	}
 	if err := s.RetireServer("b"); err != nil {
 		t.Fatalf("second retire not idempotent: %v", err)
 	}
 	// The full range must still be owned (by a).
-	if owner, _, err := s.OwnerOf(1 << 61); err != nil || owner != "a" {
-		t.Fatalf("owner after retire = %q %v, want a", owner, err)
+	if owner, ok := snap(s).Owner(1 << 61); !ok || owner != "a" {
+		t.Fatalf("owner after retire = %q %v, want a", owner, ok)
 	}
 }

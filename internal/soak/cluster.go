@@ -274,26 +274,36 @@ func (s *clusterSoak) stuckOp(worker, key int, read bool, err error) bool {
 
 // ---- fault schedule ----------------------------------------------------
 
+// faultKind is one of the schedule's four event kinds: n instances of fn,
+// which reports whether it executed or skipped because the cluster was busy.
+type faultKind struct {
+	n   int
+	fn  func() (ran bool, err error)
+	ran int // instances that executed
+}
+
 // injectFaults runs the deterministic event schedule, spread evenly over the
 // loaded phase. Event order interleaves the four fault kinds round-robin so
 // kills land between concurrency events rather than clumping.
+//
+// An instance that skips is re-armed while its kind has never executed and
+// the deadline has not passed: a skip only says the cluster was busy at that
+// instant (the balancer had servers mid-migration), and the run's assertions
+// need each kind's result at least once.
 func (s *clusterSoak) injectFaults() error {
-	type eventFn func() error
-	var events []eventFn
-	counts := []struct {
-		n  int
-		fn eventFn
-	}{
-		{s.cfg.ConcurrentPairs, s.concurrentPairEvent},
-		{s.cfg.Kills, s.killEvent},
-		{s.cfg.OverlapAttempts, s.overlapEvent},
-		{s.cfg.Cancels, s.cancelEvent},
+	overlap := &faultKind{n: s.cfg.OverlapAttempts, fn: s.overlapEvent}
+	kinds := []*faultKind{
+		{n: s.cfg.ConcurrentPairs, fn: s.concurrentPairEvent},
+		{n: s.cfg.Kills, fn: s.killEvent},
+		overlap,
+		{n: s.cfg.Cancels, fn: s.cancelEvent},
 	}
+	var events []*faultKind
 	for round := 0; ; round++ {
 		added := false
-		for _, c := range counts {
-			if round < c.n {
-				events = append(events, c.fn)
+		for _, k := range kinds {
+			if round < k.n {
+				events = append(events, k)
 				added = true
 			}
 		}
@@ -305,11 +315,27 @@ func (s *clusterSoak) injectFaults() error {
 	deadline := time.Now().Add(s.cfg.Duration)
 	for _, ev := range events {
 		time.Sleep(gap)
-		if err := ev(); err != nil {
-			return err
+		for {
+			ran, err := ev.fn()
+			if err != nil {
+				return err
+			}
+			if ran {
+				ev.ran++
+			}
+			if ev.ran > 0 || !time.Now().Before(deadline) {
+				break
+			}
+			time.Sleep(50 * time.Millisecond)
 		}
 	}
 	time.Sleep(time.Until(deadline))
+	if overlap.n > 0 && overlap.ran == 0 {
+		// Zero rejections would read as "the guard let an overlap through";
+		// the truth is that the guard was never put to the test.
+		return fmt.Errorf("soak: none of the %d overlap events could execute before the %v deadline (see the skip reasons logged above)",
+			overlap.n, s.cfg.Duration)
+	}
 	return nil
 }
 
@@ -372,11 +398,11 @@ func (s *clusterSoak) emptyRange(idx int) (shadowfax.HashRange, bool) {
 // migrations on disjoint idle server pairs started back-to-back, then
 // observed through Admin.BalanceStatus — the same surface an operator would
 // use — and folded into the concurrency ledger.
-func (s *clusterSoak) concurrentPairEvent() error {
+func (s *clusterSoak) concurrentPairEvent() (bool, error) {
 	free := s.idleServers(nil)
 	if len(free) < 4 {
 		s.cfg.Logf("soak: concurrent-pair skipped (only %d idle servers)", len(free))
-		return nil
+		return false, nil
 	}
 	type move struct {
 		src, tgt int
@@ -403,7 +429,7 @@ func (s *clusterSoak) concurrentPairEvent() error {
 	}
 	if len(moves) < 2 {
 		s.cfg.Logf("soak: concurrent-pair skipped (no two disjoint empty ranges)")
-		return nil
+		return false, nil
 	}
 	started := 0
 	for _, mv := range moves {
@@ -435,27 +461,30 @@ func (s *clusterSoak) concurrentPairEvent() error {
 		}
 	}
 	s.waitMigrationsSettled(10 * time.Second)
-	return nil
+	return true, nil
 }
 
 // overlapEvent checks the overlap guard under fire: with an empty-range
 // migration in flight, a third server's overlapping StartMigration must be
-// rejected with ErrMigrationOverlap before any state changes hands.
-func (s *clusterSoak) overlapEvent() error {
+// rejected with ErrMigrationOverlap before any state changes hands. It needs
+// three idle servers, so it first lets the balancer's migrations finish —
+// on a loaded host a four-server cluster rarely has three idle otherwise.
+func (s *clusterSoak) overlapEvent() (bool, error) {
+	s.waitMigrationsSettled(10 * time.Second)
 	free := s.idleServers(nil)
 	if len(free) < 3 {
 		s.cfg.Logf("soak: overlap skipped (only %d idle servers)", len(free))
-		return nil
+		return false, nil
 	}
 	src, tgt, third := free[0], free[1], free[2]
 	rng, ok := s.emptyRange(src)
 	if !ok {
 		s.cfg.Logf("soak: overlap skipped (no empty range on %s)", s.nodes[src].id)
-		return nil
+		return false, nil
 	}
 	if err := s.nodes[src].server().StartMigration(s.nodes[tgt].id, rng); err != nil {
 		s.cfg.Logf("soak: overlap base migration failed: %v", err)
-		return nil
+		return false, nil
 	}
 	sub := shadowfax.HashRange{Start: rng.Start + (rng.End-rng.Start)/4, End: rng.End}
 	err := s.nodes[third].server().StartMigration(s.nodes[tgt].id, sub)
@@ -472,27 +501,27 @@ func (s *clusterSoak) overlapEvent() error {
 	}
 	s.observeInFlight(s.cluster.Migrations())
 	s.waitMigrationsSettled(10 * time.Second)
-	return nil
+	return true, nil
 }
 
 // cancelEvent starts an empty-range migration and cancels it mid-flight,
 // exercising §3.3.1 cancellation: ownership snaps back to the source, both
 // views advance, and the target's half-built state is retired.
-func (s *clusterSoak) cancelEvent() error {
+func (s *clusterSoak) cancelEvent() (bool, error) {
 	free := s.idleServers(nil)
 	if len(free) < 2 {
 		s.cfg.Logf("soak: cancel skipped (only %d idle servers)", len(free))
-		return nil
+		return false, nil
 	}
 	src, tgt := free[0], free[1]
 	rng, ok := s.emptyRange(src)
 	if !ok {
 		s.cfg.Logf("soak: cancel skipped (no empty range on %s)", s.nodes[src].id)
-		return nil
+		return false, nil
 	}
 	if err := s.nodes[src].server().StartMigration(s.nodes[tgt].id, rng); err != nil {
 		s.cfg.Logf("soak: cancel base migration failed: %v", err)
-		return nil
+		return false, nil
 	}
 	var id uint64
 	found := false
@@ -504,16 +533,16 @@ func (s *clusterSoak) cancelEvent() error {
 	}
 	if !found {
 		s.cfg.Logf("soak: cancel target migration already gone")
-		return nil
+		return false, nil
 	}
 	time.Sleep(sampleDuration / 2) // let it get into the protocol
 	if err := s.cluster.CancelMigration(id); err != nil {
 		s.cfg.Logf("soak: cancelling migration %d: %v", id, err)
-		return nil
+		return false, nil
 	}
 	s.cancels++
 	s.waitMigrationsSettled(10 * time.Second)
-	return nil
+	return true, nil
 }
 
 // killEvent is the crash-recovery fault: pause and drain all load, wait for
@@ -521,7 +550,7 @@ func (s *clusterSoak) cancelEvent() error {
 // migration so the kill genuinely lands mid-migration, checkpoint the
 // victim, kill it, restart it from its devices with recovery, re-establish
 // every client's sessions, and resume load.
-func (s *clusterSoak) killEvent() error {
+func (s *clusterSoak) killEvent() (bool, error) {
 	s.gate.Lock()
 	defer s.gate.Unlock()
 
@@ -530,7 +559,7 @@ func (s *clusterSoak) killEvent() error {
 	for _, cl := range s.clients {
 		if err := cl.Drain(ctx); err != nil {
 			s.violate("drain before kill failed: %v", err)
-			return nil
+			return true, nil
 		}
 	}
 	// Let the balancer observe a quiet interval so it won't start a new
@@ -540,7 +569,7 @@ func (s *clusterSoak) killEvent() error {
 	victims := s.idleServers(nil)
 	if len(victims) == 0 {
 		s.cfg.Logf("soak: kill skipped (no migration-free server)")
-		return nil
+		return false, nil
 	}
 	victim := victims[0]
 	nd := s.nodes[victim]
@@ -559,11 +588,11 @@ func (s *clusterSoak) killEvent() error {
 
 	if _, err := nd.server().Checkpoint(); err != nil {
 		s.violate("checkpoint before kill of %s failed: %v", nd.id, err)
-		return nil
+		return true, nil
 	}
 	nd.kill()
 	if err := nd.start(shadowfax.WithRecovery()); err != nil {
-		return err
+		return true, err
 	}
 
 	for i, cl := range s.clients {
@@ -574,7 +603,7 @@ func (s *clusterSoak) killEvent() error {
 	s.kills++
 	s.cfg.Logf("soak: killed and recovered %s", nd.id)
 	s.observeInFlight(s.cluster.Migrations())
-	return nil
+	return true, nil
 }
 
 // waitMigrationsSettled blocks until no migration is in flight (so events

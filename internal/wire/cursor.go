@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/metadata"
 )
 
 // decoder is the one cursor every Decode* function reads a frame through.
@@ -144,10 +146,10 @@ func (d *decoder) count(minElemBytes int) int {
 }
 
 // ranges reads a counted list of 16-byte hash ranges.
-func (d *decoder) ranges() []Range {
-	out := make([]Range, d.count(16))
+func (d *decoder) ranges() []metadata.HashRange {
+	out := make([]metadata.HashRange, d.count(16))
 	for i := range out {
-		out[i] = Range{Start: d.u64(), End: d.u64()}
+		out[i] = metadata.HashRange{Start: d.u64(), End: d.u64()}
 	}
 	return out
 }
@@ -201,7 +203,7 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // appendRanges encodes a counted list of hash ranges.
-func appendRanges(dst []byte, rs []Range) []byte {
+func appendRanges(dst []byte, rs []metadata.HashRange) []byte {
 	dst = appendU32(dst, uint32(len(rs)))
 	for _, r := range rs {
 		dst = appendU64(dst, r.Start)

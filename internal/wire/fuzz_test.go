@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/metadata"
 )
 
 // fuzzSeeds returns one valid encoding of every frame type, so the fuzzer
@@ -60,22 +62,23 @@ func fuzzSeeds() [][]byte {
 	})
 	metaRestore := EncodeMetaReq(&MetaReq{
 		Op: MetaOpRestore, ServerID: "s1", ViewNumber: 7,
-		Ranges: []Range{{Start: 0, End: 1 << 62}},
+		Ranges: []metadata.HashRange{{Start: 0, End: 1 << 62}},
 	})
 	metaResp := EncodeMetaResp(&MetaResp{
-		OK: true, Revision: 42,
+		OK:       true,
 		MigValid: true,
-		Migration: MetaMigration{ID: 3, Epoch: 7, Source: "s1", Target: "s2",
-			RangeStart: 100, RangeEnd: 900, SourceDone: true},
-		Servers: []MetaServer{
-			{ID: "s1", Addr: "127.0.0.1:7777", ViewNumber: 4,
-				Ranges: []Range{{Start: 0, End: 1 << 62}}},
-			{ID: "s2", ViewNumber: 2},
-		},
-		Migrations: []MetaMigration{
-			{ID: 3, Epoch: 7, Source: "s1", Target: "s2", RangeStart: 100, RangeEnd: 900},
-			{ID: 4, Epoch: 8, Source: "s2", Target: "s1", RangeStart: 2000, RangeEnd: 3000},
-		},
+		Migration: metadata.MigrationState{ID: 3, Epoch: 7, Source: "s1", Target: "s2",
+			Range: metadata.HashRange{Start: 100, End: 900}, SourceDone: true},
+		Snapshot: *metadata.NewSnapshot(42,
+			[]metadata.ServerEntry{
+				{ID: "s1", Addr: "127.0.0.1:7777", View: metadata.View{Number: 4,
+					Ranges: []metadata.HashRange{{Start: 0, End: 1 << 62}}}},
+				{ID: "s2", View: metadata.View{Number: 2}},
+			},
+			[]metadata.MigrationState{
+				{ID: 3, Epoch: 7, Source: "s1", Target: "s2", Range: metadata.HashRange{Start: 100, End: 900}},
+				{ID: 4, Epoch: 8, Source: "s2", Target: "s1", Range: metadata.HashRange{Start: 2000, End: 3000}},
+			}, nil, nil),
 	})
 	metaErrResp := EncodeMetaResp(&MetaResp{
 		ErrCode: MetaErrUnknownServer, Err: "metadata: unknown server",
@@ -85,9 +88,9 @@ func fuzzSeeds() [][]byte {
 		Last: RebalanceResp{OK: true, Acted: true, Source: "s1", Target: "s2",
 			RangeStart: 1 << 62, RangeEnd: ^uint64(0), Reason: "split at load median"},
 		Rates: []ServerRate{{ID: "s1", MilliOps: 1_200_000}, {ID: "s2", MilliOps: 45_000}},
-		InFlight: []MetaMigration{
-			{ID: 5, Epoch: 11, Source: "s1", Target: "s2", RangeStart: 1 << 62, RangeEnd: 1 << 63},
-			{ID: 6, Epoch: 12, Source: "s3", Target: "s4", RangeStart: 0, RangeEnd: 1 << 60, SourceDone: true},
+		InFlight: []metadata.MigrationState{
+			{ID: 5, Epoch: 11, Source: "s1", Target: "s2", Range: metadata.HashRange{Start: 1 << 62, End: 1 << 63}},
+			{ID: 6, Epoch: 12, Source: "s3", Target: "s4", Range: metadata.HashRange{Start: 0, End: 1 << 60}, SourceDone: true},
 		},
 	})
 	replBatch := EncodeReplBatch(&ReplBatch{Seq: 12, Batch: req})
@@ -129,7 +132,7 @@ func fuzzSeeds() [][]byte {
 		EncodeStatsReq(),
 		EncodeStatsResp(StatsResp{
 			ServerID: "s1", ViewNumber: 3,
-			Ranges:       []Range{{Start: 0, End: 1 << 62}, {Start: 1 << 63, End: ^uint64(0)}},
+			Ranges:       []metadata.HashRange{{Start: 0, End: 1 << 62}, {Start: 1 << 63, End: ^uint64(0)}},
 			OpsCompleted: 1000, BatchesAccepted: 10, BatchesRejected: 1,
 			PendingOps: 5, Checkpoints: 2, CompactReclaimedBytes: 1 << 20,
 			LogBytes: 1 << 24, BalancePasses: 12, BalanceMigrations: 1,

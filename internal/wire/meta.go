@@ -1,5 +1,7 @@
 package wire
 
+import "repro/internal/metadata"
+
 // Control-plane frames for the elastic metadata service and the load
 // balancer. A designated metadata endpoint (any server backed by the local
 // in-process metadata store) serves MsgMetaReq so out-of-process servers,
@@ -95,56 +97,23 @@ type MetaReq struct {
 	ViewNumber  uint64
 	RangeStart  uint64
 	RangeEnd    uint64
-	Ranges      []Range
-}
-
-// MetaServer is one server's entry in a metadata snapshot.
-type MetaServer struct {
-	ID         string
-	Addr       string
-	ViewNumber uint64
-	Ranges     []Range
-}
-
-// MetaMigration is one uncollected migration's record in a snapshot.
-type MetaMigration struct {
-	ID             uint64
-	Epoch          uint64
-	Source, Target string
-	RangeStart     uint64
-	RangeEnd       uint64
-	SourceDone     bool
-	TargetDone     bool
-	Cancelled      bool
-}
-
-// MetaReplica is one attached backup's entry in a metadata snapshot.
-type MetaReplica struct {
-	PrimaryID string
-	Addr      string
-	Synced    bool
+	Ranges      []metadata.HashRange
 }
 
 // MetaResp answers a MetaReq. OK/ErrCode/Err report the mutation's outcome;
 // Migration carries the record StartMigration created (MigValid set); the
-// snapshot (Revision, Servers, Migrations, Replicas) rides on every response
-// so one round trip always refreshes the caller's whole cache.
+// endpoint's snapshot rides on every response so one round trip always
+// refreshes the caller's whole cache. (Its Promoted list is tail-appended to
+// the frame.)
 type MetaResp struct {
 	OK      bool
 	ErrCode MetaErr
 	Err     string
 
 	MigValid  bool
-	Migration MetaMigration
+	Migration metadata.MigrationState
 
-	Revision   uint64
-	Servers    []MetaServer
-	Migrations []MetaMigration
-	Replicas   []MetaReplica
-	// Promoted lists server ids whose replica was promoted and whose deposed
-	// former primary has not restarted (tail-appended to the frame; the
-	// balancer's re-replication pass consumes it).
-	Promoted []string
+	Snapshot metadata.Snapshot
 }
 
 // EncodeMetaReq builds a MsgMetaReq frame.
@@ -178,7 +147,7 @@ func DecodeMetaReq(buf []byte) (MetaReq, error) {
 
 // appendMetaMigration encodes one migration record (shared by the Migration
 // field and the Migrations list).
-func appendMetaMigration(dst []byte, m *MetaMigration) []byte {
+func appendMetaMigration(dst []byte, m *metadata.MigrationState) []byte {
 	dst = appendU64(dst, m.ID)
 	dst = appendU64(dst, m.Epoch)
 	var flags uint8
@@ -192,8 +161,8 @@ func appendMetaMigration(dst []byte, m *MetaMigration) []byte {
 		flags |= 4
 	}
 	dst = append(dst, flags)
-	dst = appendU64(dst, m.RangeStart)
-	dst = appendU64(dst, m.RangeEnd)
+	dst = appendU64(dst, m.Range.Start)
+	dst = appendU64(dst, m.Range.End)
 	dst = appendString(dst, m.Source)
 	dst = appendString(dst, m.Target)
 	return dst
@@ -203,24 +172,24 @@ func appendMetaMigration(dst []byte, m *MetaMigration) []byte {
 // (id + epoch + flags + range + two empty strings); count-guard denominator.
 const metaMigrationMinBytes = 8 + 8 + 1 + 8 + 8 + 2 + 2
 
-func (d *decoder) metaMigration() MetaMigration {
-	var m MetaMigration
+func (d *decoder) metaMigration() metadata.MigrationState {
+	var m metadata.MigrationState
 	m.ID = d.u64()
 	m.Epoch = d.u64()
 	flags := d.u8()
 	m.SourceDone = flags&1 != 0
 	m.TargetDone = flags&2 != 0
 	m.Cancelled = flags&4 != 0
-	m.RangeStart = d.u64()
-	m.RangeEnd = d.u64()
+	m.Range.Start = d.u64()
+	m.Range.End = d.u64()
 	m.Source = d.str()
 	m.Target = d.str()
 	return m
 }
 
 // metaMigrations reads a counted list of migration records.
-func (d *decoder) metaMigrations() []MetaMigration {
-	out := make([]MetaMigration, d.count(metaMigrationMinBytes))
+func (d *decoder) metaMigrations() []metadata.MigrationState {
+	out := make([]metadata.MigrationState, d.count(metaMigrationMinBytes))
 	for i := range out {
 		out[i] = d.metaMigration()
 	}
@@ -228,7 +197,7 @@ func (d *decoder) metaMigrations() []MetaMigration {
 }
 
 // appendMetaMigrations encodes a counted list of migration records.
-func appendMetaMigrations(dst []byte, ms []MetaMigration) []byte {
+func appendMetaMigrations(dst []byte, ms []metadata.MigrationState) []byte {
 	dst = appendU32(dst, uint32(len(ms)))
 	for i := range ms {
 		dst = appendMetaMigration(dst, &ms[i])
@@ -244,24 +213,25 @@ func EncodeMetaResp(r *MetaResp) []byte {
 	dst = appendString(dst, r.Err)
 	dst = appendBool(dst, r.MigValid)
 	dst = appendMetaMigration(dst, &r.Migration)
-	dst = appendU64(dst, r.Revision)
-	dst = appendU32(dst, uint32(len(r.Servers)))
-	for i := range r.Servers {
-		s := &r.Servers[i]
+	snap := &r.Snapshot
+	dst = appendU64(dst, snap.Revision)
+	dst = appendU32(dst, uint32(len(snap.Servers)))
+	for i := range snap.Servers {
+		s := &snap.Servers[i]
 		dst = appendString(dst, s.ID)
 		dst = appendString(dst, s.Addr)
-		dst = appendU64(dst, s.ViewNumber)
-		dst = appendRanges(dst, s.Ranges)
+		dst = appendU64(dst, s.View.Number)
+		dst = appendRanges(dst, s.View.Ranges)
 	}
-	dst = appendMetaMigrations(dst, r.Migrations)
-	dst = appendU32(dst, uint32(len(r.Replicas)))
-	for i := range r.Replicas {
-		dst = appendString(dst, r.Replicas[i].PrimaryID)
-		dst = appendString(dst, r.Replicas[i].Addr)
-		dst = appendBool(dst, r.Replicas[i].Synced)
+	dst = appendMetaMigrations(dst, snap.Migrations)
+	dst = appendU32(dst, uint32(len(snap.Replicas)))
+	for i := range snap.Replicas {
+		dst = appendString(dst, snap.Replicas[i].PrimaryID)
+		dst = appendString(dst, snap.Replicas[i].Addr)
+		dst = appendBool(dst, snap.Replicas[i].Synced)
 	}
-	dst = appendU32(dst, uint32(len(r.Promoted)))
-	for _, id := range r.Promoted {
+	dst = appendU32(dst, uint32(len(snap.Promoted)))
+	for _, id := range snap.Promoted {
 		dst = appendString(dst, id)
 	}
 	return dst
@@ -277,29 +247,31 @@ func DecodeMetaResp(buf []byte) (MetaResp, error) {
 	r.Err = d.str()
 	r.MigValid = d.bool()
 	r.Migration = d.metaMigration()
-	r.Revision = d.u64()
-	r.Servers = make([]MetaServer, d.count(16)) // two empty strings + view number + range count
-	for i := range r.Servers {
-		s := &r.Servers[i]
+	revision := d.u64()
+	servers := make([]metadata.ServerEntry, d.count(16)) // two empty strings + view number + range count
+	for i := range servers {
+		s := &servers[i]
 		s.ID = d.str()
 		s.Addr = d.str()
-		s.ViewNumber = d.u64()
-		s.Ranges = d.ranges()
+		s.View.Number = d.u64()
+		s.View.Ranges = d.ranges()
 	}
-	r.Migrations = d.metaMigrations()
-	r.Replicas = make([]MetaReplica, d.count(5)) // two empty strings + synced flag
-	for i := range r.Replicas {
-		rep := &r.Replicas[i]
+	migrations := d.metaMigrations()
+	replicas := make([]metadata.ReplicaState, d.count(5)) // two empty strings + synced flag
+	for i := range replicas {
+		rep := &replicas[i]
 		rep.PrimaryID = d.str()
 		rep.Addr = d.str()
 		rep.Synced = d.bool()
 	}
+	var promoted []string
 	if d.remaining() > 0 {
-		r.Promoted = make([]string, d.count(2)) // an empty id is its two length bytes
-		for i := range r.Promoted {
-			r.Promoted[i] = d.str()
+		promoted = make([]string, d.count(2)) // an empty id is its two length bytes
+		for i := range promoted {
+			promoted[i] = d.str()
 		}
 	}
+	r.Snapshot = *metadata.NewSnapshot(revision, servers, migrations, replicas, promoted)
 	return r, d.err
 }
 
@@ -382,7 +354,7 @@ type BalanceStatusResp struct {
 	CooldownMs uint64 // remaining cooldown, milliseconds
 	Last       RebalanceResp
 	Rates      []ServerRate
-	InFlight   []MetaMigration
+	InFlight   []metadata.MigrationState
 	// DegradedMs is how long the answering server's remote metadata cache
 	// has been serving stale views because the metadata endpoint is
 	// unreachable, in milliseconds (0 = healthy; tail-appended).

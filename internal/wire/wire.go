@@ -18,6 +18,12 @@
 //     and every later read yields zero, so there is nothing to check between
 //     fields — and the decoded values mean nothing when the error is non-nil.
 //
+// The package imports one thing from this module: internal/metadata, itself
+// a standard-library-only leaf, for the cluster-state value types
+// (HashRange, MigrationState, Snapshot). Frames carry those values as they
+// are; a wire-side twin of each would need a converter at every boundary and
+// could drift from the original field by field.
+//
 // A field appended to an existing frame goes at the tail, guarded by
 // `if d.remaining() > 0`, so frames from older encoders still decode.
 //
@@ -32,6 +38,8 @@ package wire
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/metadata"
 )
 
 // MsgType identifies a frame.
@@ -436,12 +444,6 @@ func DecodeCompactResp(buf []byte) (CompactResp, error) {
 	return r, d.err
 }
 
-// Range is a half-open hash interval inside a StatsResp (the wire twin of
-// metadata.HashRange; the wire package depends on nothing internal).
-type Range struct {
-	Start, End uint64
-}
-
 // StatsResp is a server's answer to a MsgStats admin request: identity,
 // current ownership view, and a snapshot of the operational counters. It is
 // also the public API's discovery handshake — ServerID plus the view let a
@@ -449,7 +451,7 @@ type Range struct {
 type StatsResp struct {
 	ServerID   string
 	ViewNumber uint64
-	Ranges     []Range // ranges owned at ViewNumber
+	Ranges     []metadata.HashRange // ranges owned at ViewNumber
 
 	OpsCompleted    uint64
 	BatchesAccepted uint64

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metadata"
 )
 
 func TestRequestBatchRoundTrip(t *testing.T) {
@@ -235,7 +237,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	for _, in := range []StatsResp{
 		{ServerID: "server-1", ViewNumber: 12,
-			Ranges:       []Range{{Start: 0, End: 1 << 40}, {Start: 1 << 41, End: ^uint64(0)}},
+			Ranges:       []metadata.HashRange{{Start: 0, End: 1 << 40}, {Start: 1 << 41, End: ^uint64(0)}},
 			OpsCompleted: 123456, BatchesAccepted: 2000, BatchesRejected: 3,
 			DecodeErrors: 1, PendingOps: -2, RemoteFetches: 9, ViewRefreshes: 4,
 			Checkpoints: 5, CheckpointFailures: 1,

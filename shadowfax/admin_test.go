@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/metadata"
 )
 
 func TestAdminStatsAndCheckpoint(t *testing.T) {
@@ -178,6 +180,30 @@ func TestDiscover(t *testing.T) {
 	v, err := cl2.Get(ctx, []byte("shared"))
 	if err != nil || !bytes.Equal(v, []byte("state")) {
 		t.Fatalf("read through discovered cluster: %q, %v", v, err)
+	}
+}
+
+// addrRefuser is a metadata store whose SetServerAddr fails, as a remote
+// provider's does when the metadata endpoint goes away mid-handshake.
+type addrRefuser struct{ *metadata.Store }
+
+func (addrRefuser) SetServerAddr(id, addr string) error {
+	return errors.New("metadata endpoint unavailable")
+}
+
+// TestAddressRegistrationFailureIsReported: a server whose address did not
+// reach the metadata store is registered but unroutable, so neither the
+// discovery handshake nor NewServer may report success for it.
+func TestAddressRegistrationFailureIsReported(t *testing.T) {
+	cluster, _ := testCluster(t)
+	broken := NewCluster(WithTransport(cluster.tr))
+	broken.meta = addrRefuser{metadata.NewStore()}
+	if st, err := broken.Discover(context.Background(), "s1"); err == nil {
+		t.Fatalf("Discover reported %+v although the address was never recorded", st)
+	}
+	if srv, err := NewServer(broken, "s2", WithThreads(1)); err == nil {
+		srv.Close()
+		t.Fatal("NewServer succeeded although its address was never recorded")
 	}
 }
 

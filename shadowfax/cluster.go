@@ -59,8 +59,8 @@ func WithTransport(tr Transport) ClusterOption {
 // transport at addr — instead of an in-process store. Servers, clients and
 // admins created on the cluster then observe (and mutate) the endpoint's
 // live ownership views: the multi-process deployment shares one metadata
-// state of record. Call Cluster.Close when done to stop the provider's
-// background watch loop.
+// state of record. Call Cluster.Close when done to release the provider's
+// connection.
 func WithRemoteMetadata(addr string) ClusterOption {
 	return func(c *Cluster) { c.metaAddr = addr }
 }
@@ -78,16 +78,15 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 	if c.metaAddr != "" {
 		// Built after the options ran so the provider dials over the
 		// transport the options selected.
-		c.remote = ctlplane.NewRemoteProvider(c.tr, c.metaAddr, ctlplane.RemoteOptions{})
+		c.remote = ctlplane.NewRemoteProvider(c.tr, c.metaAddr)
 		c.meta = c.remote
 	}
 	return c
 }
 
 // Close releases the cluster's control-plane resources (the remote metadata
-// provider's connection and watch loop). Servers and clients created on the
-// cluster are closed separately. Close is a no-op for fully in-process
-// clusters.
+// provider's connection). Servers and clients created on the cluster are
+// closed separately. Close is a no-op for fully in-process clusters.
 func (c *Cluster) Close() error {
 	if c.remote != nil {
 		return c.remote.Close()
@@ -95,40 +94,64 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
+// snapshot returns the provider's current cluster state (from a remote one
+// that lost its endpoint, the last it saw); the reads below copy out of it.
+func (c *Cluster) snapshot() *metadata.Snapshot {
+	snap, _ := c.meta.Snapshot()
+	return snap
+}
+
 // Servers returns the ids of all servers registered in the metadata store,
 // sorted.
-func (c *Cluster) Servers() []string { return c.meta.Servers() }
+func (c *Cluster) Servers() []string { return c.snapshot().ServerIDs() }
 
 // View returns a server's current ownership view.
-func (c *Cluster) View(serverID string) (View, error) { return c.meta.GetView(serverID) }
+func (c *Cluster) View(serverID string) (View, error) {
+	snap, err := c.meta.Snapshot()
+	if err != nil {
+		return View{}, err
+	}
+	v, err := snap.GetView(serverID)
+	return v.Clone(), err
+}
 
 // Ownership returns every server's current ownership view — live cluster
 // state when the metadata provider is remote.
-func (c *Cluster) Ownership() map[string]View { return c.meta.Ownership() }
+func (c *Cluster) Ownership() map[string]View { return c.snapshot().Ownership() }
 
 // PendingMigrations returns the migrations involving serverID whose
 // dependency has not been collected yet (§3.3.1); an empty result means the
 // server has no migration in flight.
 func (c *Cluster) PendingMigrations(serverID string) []MigrationState {
-	return c.meta.PendingMigrationsFor(serverID)
+	return c.snapshot().PendingMigrationsFor(serverID)
 }
 
 // Migrations returns every migration the metadata provider still tracks,
 // in-flight or finished-but-uncollected, with their ranges and epochs.
 // Filter with MigrationState.InFlight for the live set — the same set
 // Admin.BalanceStatus reports over the wire.
-func (c *Cluster) Migrations() []MigrationState { return c.meta.Migrations() }
+func (c *Cluster) Migrations() []MigrationState {
+	return append([]MigrationState(nil), c.snapshot().Migrations...)
+}
 
 // Replicas returns every attached backup keyed by primary id: who shadows
 // whom, the backup's address, and whether its base sync completed. A primary
 // disappears from the map when its backup detaches or promotes.
-func (c *Cluster) Replicas() map[string]ReplicaState { return c.meta.Replicas() }
+func (c *Cluster) Replicas() map[string]ReplicaState {
+	out := make(map[string]ReplicaState)
+	for _, r := range c.snapshot().Replicas {
+		out[r.PrimaryID] = r
+	}
+	return out
+}
 
 // PromotedServers returns the ids whose backup won a promotion (the §3.3.1
 // failover linearization point) and whose deposed former primary has not
 // been restarted or re-registered. The self-healing balancer uses the same
 // set to decide which primaries need a fresh standby provisioned.
-func (c *Cluster) PromotedServers() []string { return c.meta.PromotedServers() }
+func (c *Cluster) PromotedServers() []string {
+	return append([]string(nil), c.snapshot().Promoted...)
+}
 
 // CancelMigration aborts an in-flight migration by id (§3.3.1): the range
 // returns to the source's ownership view and both parties' views advance, so
@@ -147,10 +170,12 @@ func (c *Cluster) Discover(ctx context.Context, addr string) (ServerStats, error
 	if err != nil {
 		return ServerStats{}, err
 	}
-	if _, err := c.meta.RestoreServer(resp.ServerID, viewFromWire(resp)); err != nil {
+	if _, err := c.meta.RestoreServer(resp.ServerID, View{Number: resp.ViewNumber, Ranges: resp.Ranges}); err != nil {
 		return ServerStats{}, err
 	}
-	c.meta.SetServerAddr(resp.ServerID, addr)
+	if err := c.meta.SetServerAddr(resp.ServerID, addr); err != nil {
+		return ServerStats{}, err
+	}
 	return serverStatsFromWire(resp), nil
 }
 

@@ -303,26 +303,20 @@ func NewServer(cluster *Cluster, id string, opts ...ServerOption) (*Server, erro
 		}
 		return nil, err
 	}
+	s := &Server{core: srv, ownedDev: owned}
 	if sc.cfg.ReplicaOf != "" {
 		// A standby adopts its primary's metadata identity; registering its
 		// own address here would repoint the primary's entry at the standby
 		// before promotion. The promotion path repoints it atomically.
-		return &Server{core: srv, ownedDev: owned}, nil
+		return s, nil
 	}
-	cluster.meta.SetServerAddr(id, srv.Addr())
-	// Verify the address actually landed: over a remote metadata provider
-	// SetServerAddr can fail silently (the Provider signature carries no
-	// error), and a registered-but-unroutable server would break admin RPCs
-	// and the balancer with no symptom at the server itself.
-	if got, aerr := cluster.meta.ServerAddr(id); aerr != nil || got != srv.Addr() {
-		srv.Close()
-		if owned != nil {
-			owned.Close()
-		}
-		return nil, fmt.Errorf("shadowfax: registering %s's address in the metadata store failed (got %q, %v)",
-			id, got, aerr)
+	// A registered-but-unroutable server would break admin RPCs and the
+	// balancer with no symptom at the server itself.
+	if err := cluster.meta.SetServerAddr(id, srv.Addr()); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("shadowfax: registering %s's address in the metadata store: %w", id, err)
 	}
-	return &Server{core: srv, ownedDev: owned}, nil
+	return s, nil
 }
 
 // ID returns the server's identity in the metadata store.

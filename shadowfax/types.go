@@ -168,6 +168,7 @@ func balancerStatusFromWire(r wire.BalanceStatusResp) BalancerStatus {
 		Cooldown:    time.Duration(r.CooldownMs) * time.Millisecond,
 		Last:        rebalanceDecisionFromWire(r.Last),
 		DegradedFor: time.Duration(r.DegradedMs) * time.Millisecond,
+		InFlight:    r.InFlight,
 	}
 	if len(r.Rates) > 0 {
 		st.Rates = make(map[string]float64, len(r.Rates))
@@ -175,23 +176,7 @@ func balancerStatusFromWire(r wire.BalanceStatusResp) BalancerStatus {
 			st.Rates[sr.ID] = float64(sr.MilliOps) / 1000
 		}
 	}
-	for _, m := range r.InFlight {
-		st.InFlight = append(st.InFlight, MigrationState{
-			ID: m.ID, Epoch: m.Epoch, Source: m.Source, Target: m.Target,
-			Range:      HashRange{Start: m.RangeStart, End: m.RangeEnd},
-			SourceDone: m.SourceDone, TargetDone: m.TargetDone, Cancelled: m.Cancelled,
-		})
-	}
 	return st
-}
-
-// viewFromWire rebuilds a metadata view from a stats response.
-func viewFromWire(r wire.StatsResp) View {
-	v := View{Number: r.ViewNumber, Ranges: make([]HashRange, len(r.Ranges))}
-	for i, rng := range r.Ranges {
-		v.Ranges[i] = HashRange{Start: rng.Start, End: rng.End}
-	}
-	return v
 }
 
 // LogStats is a snapshot of a server's HybridLog geometry (§2.2): addresses
